@@ -11,6 +11,7 @@ Run from the repository root:
     python3 scripts/make_fixture.py
 """
 
+import dataclasses
 import pathlib
 
 import numpy as np
@@ -29,13 +30,9 @@ def build_table_text() -> str:
     cfg = ModelConfig(N, M, prior_spectrum=Spectrum(0.2),
                       deviation_spectrum=Spectrum(0.5, scale=0.3), k_max=200)
     grid = np.arange(N) / (N - 1)
-    _, _, data = simulate_regression(cfg, [grid] * M, seed=SEED, noise_sd=NOISE_SD)
-    lines = ["subject,i,t,y"]
-    for j in range(M):
-        for i in range(N):
-            lines.append(f"subj{j + 1:02d},{i + 1},{float(grid[i])!r},"
-                         f"{float(data.observations[j][i])!r}")
-    return "\n".join(lines) + "\n"
+    _, _, table = simulate_regression(cfg, [grid] * M, seed=SEED, noise_sd=NOISE_SD)
+    names = tuple(f"subj{j:02d}" for j in range(1, M + 1))
+    return dataclasses.replace(table, subject_ids=names).to_csv()
 
 
 def main() -> None:

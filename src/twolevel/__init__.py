@@ -5,9 +5,8 @@ __version__ = "0.1.0"
 
 from .basis import (FunctionSeries, SobolevBall, Spectrum, fourier_eval,
                     series_eval, sobolev_norm_sq, tail_energy)
-from .simulate import (CoefficientPanel, ModelConfig, RegressionDataset,
-                       build_covariance, observe_panel, observe_sequence,
-                       sample_population, sample_subjects, simulate_regression,
+from .simulate import (CoefficientPanel, ModelConfig, build_covariance,
+                       sample_panel, sample_population, simulate_regression,
                        study1_grids, substream)
 from .estimators import (PosteriorSpec, ThresholdSelection,
                          double_threshold_estimate_f, empirical_coefficients,

@@ -18,13 +18,13 @@ import numpy as np
 from . import __version__
 from .basis import Spectrum
 from .dataio import (DataError, SplitSpec, compare_estimators, comparison_csv,
-                     load_table, split)
+                     load_table)
 from .design import emit_gradient_map, emit_heatmap, enumerate_designs
 from .estimators import (PosteriorSpec, lepskii_thresholds_f, oracle_thresholds)
 from .risk import (RateQuery, adaptive_f, adaptive_g, fixed_g, posterior_f,
                    posterior_g, rate_f, rate_g, run_monte_carlo, single_subject_f)
-from .simulate import (ModelConfig, observe_panel, sample_population,
-                       sample_subjects, simulate_regression, substream)
+from .simulate import (ModelConfig, sample_panel, sample_population,
+                       simulate_regression, substream)
 
 __all__ = ["cli_dispatch", "main"]
 
@@ -71,8 +71,7 @@ def _write_manifest(out_dir, config: dict) -> None:
 
 
 def _spectra(args) -> tuple[Spectrum, Spectrum]:
-    return (Spectrum(args.alpha, getattr(args, "alpha_scale", 1.0)),
-            Spectrum(args.alpha_tilde, getattr(args, "alpha_tilde_scale", 1.0)))
+    return Spectrum(args.alpha), Spectrum(args.alpha_tilde)
 
 
 def _cmd_rates(args) -> int:
@@ -115,8 +114,7 @@ def _cmd_heatmap(args) -> int:
                             math.log(rate_g(q) if args.target == "g" else rate_f(q))))
     os.makedirs(args.out, exist_ok=True)
     config = dict(command="heatmap", target=args.target, budget=args.budget,
-                  budget_mode=args.budget_mode, alpha=args.alpha,
-                  alpha_tilde=args.alpha_tilde, density=args.density)
+                  alpha=args.alpha, alpha_tilde=args.alpha_tilde, density=args.density)
     svg = os.path.join(args.out, f"heatmap_rate_{args.target}.svg")
     csv = os.path.join(args.out, f"heatmap_rate_{args.target}.csv")
     emit_heatmap(surface, svg, csv, header_lines=_header_lines(config),
@@ -128,18 +126,17 @@ def _cmd_heatmap(args) -> int:
 
 def _cmd_simulate(args) -> int:
     prior, deviation = _spectra(args)
-    cfg = ModelConfig(args.n, args.m, prior, deviation, k_max=args.k_max,
-                      mode="regression")
+    cfg = ModelConfig(args.n, args.m, prior, deviation, k_max=args.k_max)
     grid = (np.arange(1, args.n + 1) - 0.5) / args.n
     grids = [grid] * args.m
-    _, _, dataset = simulate_regression(cfg, grids, args.seed,
-                                        noise_sd=args.noise_sd, sampling=args.sampling)
+    _, _, table = simulate_regression(cfg, grids, args.seed,
+                                      noise_sd=args.noise_sd, sampling=args.sampling)
     os.makedirs(args.out, exist_ok=True)
     config = dict(command="simulate", n=args.n, m=args.m, alpha=args.alpha,
                   alpha_tilde=args.alpha_tilde, noise_sd=args.noise_sd,
                   sampling=args.sampling, k_max=cfg.k_max, seed=args.seed)
     path = os.path.join(args.out, "dataset.csv")
-    _write(path, dataset.to_csv(), config)
+    _write(path, table.to_csv(), config)
     _write_manifest(args.out, config)
     print(f"wrote {path}")
     return 0
@@ -214,22 +211,6 @@ def _cmd_study2(args) -> int:
     return 0
 
 
-def _cmd_fit(args) -> int:
-    table = load_table(args.data)
-    spec = SplitSpec(args.test_a, args.test_b, args.test_count)
-    results = compare_estimators(table, spec, tau1=args.tau1, tau2=args.tau2,
-                                 tau_single=args.tau_single)
-    config = dict(command="fit", data=os.path.basename(args.data),
-                  test_a=args.test_a, test_b=args.test_b, test_count=args.test_count,
-                  tau1=args.tau1, tau2=args.tau2, tau_single=args.tau_single)
-    os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "rmspe.csv")
-    _write(path, comparison_csv(results), config)
-    _write_manifest(args.out, config)
-    print(f"wrote {path}")
-    return 0
-
-
 def _cmd_compare(args) -> int:
     table = load_table(args.data)
     spec = SplitSpec(args.test_a, args.test_b, args.test_count)
@@ -259,8 +240,7 @@ def _cmd_oracle_check(args) -> int:
     rng = substream(args.seed, 0)
     g = sample_population(cfg, rng)
     k1_star, k2_star = oracle_thresholds(g, deviation, cfg.n, cfg.m)
-    subjects = sample_subjects(g, cfg, rng)
-    panel = observe_panel(subjects, cfg, rng)
+    _, panel = sample_panel(g, cfg, rng)
     sel = lepskii_thresholds_f(panel, 0, tau1=args.tau1, tau2=args.tau2)
     print(f"oracle k1*={k1_star} k2*={k2_star} adaptive k1={sel.k1} k2={sel.k2}")
     return 0
@@ -316,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p, need_nm=False)
     p.add_argument("--target", choices=("g", "f"), default="g")
     p.add_argument("--budget", type=float, default=5000.0)
-    p.add_argument("--budget-mode", choices=("product", "linear_cost"), default="product")
     p.add_argument("--density", type=int, default=12)
     p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_heatmap)
@@ -349,12 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_study2)
 
-    p = sub.add_parser("fit", help="fit estimators to a table and report RMSPE")
-    p.add_argument("--data", required=True)
-    _add_split_flags(p)
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=_cmd_fit)
-
     p = sub.add_parser("compare", help="single-subject vs two-threshold RMSPE comparison")
     p.add_argument("--data", required=True)
     _add_split_flags(p)
@@ -378,7 +351,7 @@ def cli_dispatch(argv) -> int:
         argv = list(argv)
         if "--out" not in argv and any(c in argv for c in
                                        ("gradient-map", "heatmap", "simulate",
-                                        "study1", "study2", "fit")):
+                                        "study1", "study2")):
             argv += ["--out", env_out]
     parser = build_parser()
     try:

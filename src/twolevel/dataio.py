@@ -17,7 +17,7 @@ import numpy as np
 from .estimators import (double_threshold_estimate_f, empirical_coefficients,
                          lepskii_thresholds_f, single_subject_estimate)
 from .risk import rmspe
-from .simulate import RegressionDataset
+from .simulate import MultiSubjectTable
 
 __all__ = [
     "DataError",
@@ -33,32 +33,6 @@ __all__ = [
 
 class DataError(ValueError):
     """Malformed input data; the message names the offending rows."""
-
-
-@dataclass(frozen=True)
-class MultiSubjectTable:
-    """Validated per-subject curves on a common index set 1..n."""
-
-    subject_ids: tuple
-    indices: tuple      # per subject, array of time indices
-    times: tuple        # per subject, array of t in [0, 1]
-    values: tuple       # per subject, array of y
-    rescaled: bool = False
-
-    @property
-    def m(self) -> int:
-        return len(self.subject_ids)
-
-    @property
-    def n(self) -> int:
-        return self.indices[0].size if self.m else 0
-
-    def to_csv(self) -> str:
-        lines = ["subject,i,t,y"]
-        for sid, idx, t, y in zip(self.subject_ids, self.indices, self.times, self.values):
-            for i, ti, yi in zip(idx, t, y):
-                lines.append(f"{sid},{i},{float(ti)!r},{float(yi)!r}")
-        return "\n".join(lines) + "\n"
 
 
 def parse_table(text: str) -> MultiSubjectTable:
@@ -114,8 +88,12 @@ def parse_table(text: str) -> MultiSubjectTable:
         lo, hi = all_t.min(), all_t.max()
         times = [(t - lo) / (hi - lo) for t in times]
         rescaled = True
-    return MultiSubjectTable(tuple(rows.keys()), tuple(indices), tuple(times),
-                             tuple(values), rescaled=rescaled)
+    try:
+        return MultiSubjectTable(tuple(rows.keys()), tuple(indices), tuple(times),
+                                 tuple(values), rescaled=rescaled)
+    except ValueError as err:
+        # rescaling can merge times that were distinct but far from [0, 1]
+        raise DataError(f"after rescaling t to [0, 1]: {err}") from None
 
 
 def load_table(path) -> MultiSubjectTable:
@@ -171,8 +149,7 @@ def compare_estimators(table: MultiSubjectTable, spec: SplitSpec,
     train, test = split(table, spec)
     n_train = train.n
     width = max(math.isqrt(n_train * train.m), math.isqrt(n_train), 1)
-    dataset = RegressionDataset(train.times, train.values)
-    panel = empirical_coefficients(dataset, width)
+    panel = empirical_coefficients(train, width)
     results = []
     for j, sid in enumerate(table.subject_ids):
         single = single_subject_estimate(panel.coeffs[j], n_train, train.m,

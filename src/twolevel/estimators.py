@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import FunctionSeries, Spectrum, fourier_matrix
-from .simulate import CoefficientPanel, RegressionDataset
+from .simulate import CoefficientPanel, MultiSubjectTable
 
 __all__ = [
     "ThresholdSelection",
@@ -74,39 +74,28 @@ class PosteriorSpec:
     deviation_spectrum: Spectrum
 
 
-def empirical_coefficients(data, width: int, n: int | None = None,
+def empirical_coefficients(table: MultiSubjectTable, width: int,
                            normalize: bool = True) -> CoefficientPanel:
-    """Per-subject empirical basis coefficients.
+    """Per-subject empirical basis coefficients of a curve table.
 
-    For a :class:`RegressionDataset`, entry (j, k) is
-    ``(1/n) * sum_i Y_i^(j) psi_k(t_i^(j))``; pass ``normalize=False`` for the
-    raw, unnormalized inner product.  For a 2-D array of sequence-mode
-    coefficient rows the data is passed through truncated to ``width``.
+    Entry (j, k) is ``(1/n) * sum_i Y_i^(j) psi_k(t_i^(j))``; pass
+    ``normalize=False`` for the raw, unnormalized inner product.
 
     The panel is flagged as aliased when ``width`` exceeds half the grid size.
     """
     if width < 1:
         raise ValueError("width must be >= 1")
-    if isinstance(data, RegressionDataset):
-        lengths = {g.size for g in data.grids}
-        if len(lengths) != 1:
-            raise ValueError("subjects must share a common grid size")
-        n_obs = lengths.pop()
-        rows = np.empty((data.m, width))
-        for j, (grid, y) in enumerate(zip(data.grids, data.observations)):
-            psi = fourier_matrix(grid, width)
-            rows[j] = psi.T @ y
-            if normalize:
-                rows[j] /= n_obs
-        return CoefficientPanel(n=n if n is not None else n_obs, m=data.m,
-                                coeffs=rows, aliased=width > n_obs / 2)
-    if isinstance(data, CoefficientPanel):
-        return CoefficientPanel(n=data.n, m=data.m, coeffs=data.coeffs[:, :width],
-                                aliased=data.aliased)
-    rows = np.atleast_2d(np.asarray(data, dtype=float))[:, :width]
-    if n is None:
-        raise ValueError("sequence-mode input needs the precision n")
-    return CoefficientPanel(n=n, m=rows.shape[0], coeffs=rows)
+    lengths = {t.size for t in table.times}
+    if len(lengths) != 1:
+        raise ValueError("subjects must share a common grid size")
+    n_obs = lengths.pop()
+    rows = np.empty((table.m, width))
+    for j, (grid, y) in enumerate(zip(table.times, table.values)):
+        psi = fourier_matrix(grid, width)
+        rows[j] = psi.T @ y
+        if normalize:
+            rows[j] /= n_obs
+    return CoefficientPanel(n=n_obs, m=table.m, coeffs=rows, aliased=width > n_obs / 2)
 
 
 def pooled_coefficients(panel: CoefficientPanel, exclude_subject: int | None = None) -> np.ndarray:

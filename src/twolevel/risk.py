@@ -16,8 +16,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .basis import FunctionSeries, fourier_matrix, series_eval
-from .simulate import (CoefficientPanel, ModelConfig, sample_population,
-                       substream)
+from .simulate import (CoefficientPanel, ModelConfig, sample_panel,
+                       sample_population, substream)
 from . import estimators as est
 
 __all__ = [
@@ -214,9 +214,6 @@ def run_monte_carlo(cfg: ModelConfig, plan, replicates: int, seed: int,
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
-    if cfg.mode != "sequence":
-        raise ValueError("run_monte_carlo operates in sequence mode; "
-                         "use simulate_regression + empirical_coefficients for regression studies")
     plan = list(plan)
     targets = {spec.target for spec in plan}
     evaluators = {}
@@ -229,16 +226,10 @@ def run_monte_carlo(cfg: ModelConfig, plan, replicates: int, seed: int,
 
     mises = {spec.label: np.full(replicates, np.nan) for spec in plan}
     failures = {spec.label: 0 for spec in plan}
-    dev_sd = np.sqrt(cfg.deviation_spectrum.eigenvalues(cfg.k_max))
     for r in range(replicates):
         rng = substream(seed, r)
         g = sample_population(cfg, rng)
-        # all-subject deviation and noise draws in one shot; equivalent in
-        # distribution to per-subject sampling but much faster for large m
-        deviations = dev_sd * rng.standard_normal((cfg.m, cfg.k_max))
-        noise = rng.standard_normal((cfg.m, cfg.k_max)) / math.sqrt(cfg.n)
-        panel = CoefficientPanel(n=cfg.n, m=cfg.m,
-                                 coeffs=g.padded(cfg.k_max) + deviations + noise)
+        deviations, panel = sample_panel(g, cfg, rng)
         truth_values = {}
         if "g" in evaluators:
             truth_values["g"] = evaluators["g"](g)
@@ -255,7 +246,7 @@ def run_monte_carlo(cfg: ModelConfig, plan, replicates: int, seed: int,
                 failures[spec.label] += 1
 
     config_echo = {
-        "n": cfg.n, "m": cfg.m, "k_max": cfg.k_max, "mode": cfg.mode,
+        "n": cfg.n, "m": cfg.m, "k_max": cfg.k_max,
         "alpha": cfg.prior_spectrum.decay, "alpha_scale": cfg.prior_spectrum.scale,
         "alpha_tilde": cfg.deviation_spectrum.decay,
         "alpha_tilde_scale": cfg.deviation_spectrum.scale,

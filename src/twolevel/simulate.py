@@ -5,7 +5,7 @@ Two observation modes are supported:
 * ``sequence``: each subject's data is its coefficient vector observed with
   i.i.d. N(0, 1/n) noise per coefficient (the idealized white-noise model).
 * ``regression``: each subject is observed at fixed grid points in [0, 1]
-  with i.i.d. N(0, noise_sd^2) errors.
+  with i.i.d. N(0, noise_sd^2) errors, giving a ``subject,i,t,y`` table.
 
 All randomness flows through a master seed; every (replicate, subject) pair
 consumes its own counter-derived substream so results do not depend on
@@ -15,7 +15,7 @@ execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,14 +24,12 @@ from .basis import FunctionSeries, Spectrum, fourier_matrix, series_eval
 __all__ = [
     "ModelConfig",
     "CoefficientPanel",
-    "RegressionDataset",
+    "MultiSubjectTable",
     "GridFunction",
     "default_k_max",
     "substream",
     "sample_population",
-    "sample_subjects",
-    "observe_sequence",
-    "observe_panel",
+    "sample_panel",
     "build_covariance",
     "study1_grids",
     "simulate_regression",
@@ -61,13 +59,10 @@ class ModelConfig:
     prior_spectrum: Spectrum
     deviation_spectrum: Spectrum
     k_max: int = 0
-    mode: str = "sequence"
 
     def __post_init__(self):
         if self.n < 1 or self.m < 0:
             raise ValueError(f"need n >= 1 and m >= 0, got n={self.n}, m={self.m}")
-        if self.mode not in ("sequence", "regression"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.k_max == 0:
             object.__setattr__(self, "k_max", default_k_max(self.n, max(self.m, 1)))
         if self.k_max < 1:
@@ -103,52 +98,39 @@ class CoefficientPanel:
 
 
 @dataclass(frozen=True)
-class RegressionDataset:
-    """Per-subject grids and noisy observations for the regression model."""
+class MultiSubjectTable:
+    """Per-subject curves in the ``subject,i,t,y`` schema: the data pipeline's
+    input and the regression-mode simulator's output."""
 
-    grids: tuple
-    observations: tuple
-    noise_sd: float = 1.0
+    subject_ids: tuple
+    indices: tuple      # per subject, array of time indices
+    times: tuple        # per subject, array of t in [0, 1]
+    values: tuple       # per subject, array of y
+    rescaled: bool = False
 
     def __post_init__(self):
-        grids = tuple(np.asarray(g, dtype=float) for g in self.grids)
-        obs = tuple(np.asarray(y, dtype=float) for y in self.observations)
-        if len(grids) != len(obs):
-            raise ValueError("need one observation vector per grid")
-        for j, (g, y) in enumerate(zip(grids, obs)):
-            if g.size != y.size:
-                raise ValueError(f"subject {j + 1}: grid and observations differ in length")
-            if g.size > 1 and not np.all(np.diff(g) > 0):
-                raise ValueError(f"subject {j + 1}: grid must be strictly increasing")
-        object.__setattr__(self, "grids", grids)
-        object.__setattr__(self, "observations", obs)
+        if not len(self.subject_ids) == len(self.indices) == len(self.times) == len(self.values):
+            raise ValueError("need one index, time and value array per subject")
+        for sid, idx, t, y in zip(self.subject_ids, self.indices, self.times, self.values):
+            if not idx.size == t.size == y.size:
+                raise ValueError(f"subject {sid}: indices, times and values differ in length")
+            if not np.all(np.diff(t) > 0):
+                raise ValueError(f"subject {sid}: times must be strictly increasing")
 
     @property
     def m(self) -> int:
-        return len(self.grids)
+        return len(self.subject_ids)
+
+    @property
+    def n(self) -> int:
+        return self.indices[0].size if self.m else 0
 
     def to_csv(self) -> str:
-        lines = ["subject,t,y"]
-        for j, (g, y) in enumerate(zip(self.grids, self.observations), start=1):
-            for t, v in zip(g, y):
-                lines.append(f"{j},{float(t)!r},{float(v)!r}")
+        lines = ["subject,i,t,y"]
+        for sid, idx, t, y in zip(self.subject_ids, self.indices, self.times, self.values):
+            for i, ti, yi in zip(idx, t, y):
+                lines.append(f"{sid},{i},{float(ti)!r},{float(yi)!r}")
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str, noise_sd: float = 1.0) -> "RegressionDataset":
-        rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-        if not rows or rows[0] != "subject,t,y":
-            raise ValueError("expected header 'subject,t,y'")
-        by_subject: dict[int, list] = {}
-        for ln in rows[1:]:
-            j_str, t_str, y_str = ln.split(",")
-            by_subject.setdefault(int(j_str), []).append((float(t_str), float(y_str)))
-        grids, obs = [], []
-        for j in sorted(by_subject):
-            pairs = by_subject[j]
-            grids.append(np.array([p[0] for p in pairs]))
-            obs.append(np.array([p[1] for p in pairs]))
-        return cls(tuple(grids), tuple(obs), noise_sd=noise_sd)
 
 
 class GridFunction:
@@ -174,26 +156,24 @@ def sample_population(cfg: ModelConfig, rng: np.random.Generator) -> FunctionSer
     return FunctionSeries(sd * rng.standard_normal(cfg.k_max))
 
 
-def sample_subjects(g: FunctionSeries, cfg: ModelConfig, rng: np.random.Generator):
-    """Draw m subject series g + e^(j), e_k^(j) ~ N(0, lambda~_k), independently."""
+def sample_panel(g: FunctionSeries, cfg: ModelConfig, rng: np.random.Generator):
+    """Draw m subjects f^(j) = g + e^(j), e_k^(j) ~ N(0, lambda~_k), and
+    observe each in sequence mode: f_k^(j) + n^{-1/2} Z_k^(j).
+
+    All m x k_max deviations are drawn before the m x k_max noise, which
+    consumes ``rng`` exactly as drawing subject by subject would.  Returns
+    the (m, k_max) deviation array and the observed panel.
+    """
     if len(g) > cfg.k_max:
         raise ValueError("population series longer than k_max")
-    base = g.padded(cfg.k_max)
     sd = np.sqrt(cfg.deviation_spectrum.eigenvalues(cfg.k_max))
-    return [FunctionSeries(base + sd * rng.standard_normal(cfg.k_max)) for _ in range(cfg.m)]
-
-
-def observe_sequence(f: FunctionSeries, cfg: ModelConfig, rng: np.random.Generator) -> np.ndarray:
-    """One subject's noisy coefficient row: f_k + n^{-1/2} Z_k."""
-    return f.padded(cfg.k_max) + rng.standard_normal(cfg.k_max) / math.sqrt(cfg.n)
-
-
-def observe_panel(subjects, cfg: ModelConfig, rng: np.random.Generator) -> CoefficientPanel:
-    """Stack sequence observations of every subject into a panel."""
-    rows = np.empty((len(subjects), cfg.k_max))
-    for j, f in enumerate(subjects):
-        rows[j] = observe_sequence(f, cfg, rng)
-    return CoefficientPanel(n=cfg.n, m=len(subjects), coeffs=rows)
+    deviations = sd * rng.standard_normal((cfg.m, cfg.k_max))
+    coeffs = rng.standard_normal((cfg.m, cfg.k_max))
+    coeffs /= math.sqrt(cfg.n)
+    # noise + (g + e), summed into the noise array: bit for bit the same as
+    # (g + e) + noise, with one m x k_max temporary fewer alive
+    coeffs += g.padded(cfg.k_max) + deviations
+    return deviations, CoefficientPanel(n=cfg.n, m=cfg.m, coeffs=coeffs)
 
 
 def build_covariance(spec: Spectrum, points, terms: int) -> np.ndarray:
@@ -243,12 +223,14 @@ def _mvn_sample(mean, cov, rng: np.random.Generator):
 
 def simulate_regression(cfg: ModelConfig, grids, seed: int, noise_sd: float = 1.0,
                         eval_grid=None, sampling: str = "series"):
-    """Generate (g truth, subject truths, RegressionDataset).
+    """Generate (g truth, subject truths, MultiSubjectTable).
 
     ``sampling="series"`` draws g and the deviations as k_max-term series;
     ``sampling="covariance"`` draws exact multivariate normals from the
     finite Mercer covariance at the needed points, in which case truths come
     back as :class:`GridFunction` over the subject's grid plus ``eval_grid``.
+    Subject j = 1..m draws its deviation and then its noise from
+    ``substream(seed, j)`` and is named ``str(j)`` in the table.
     """
     grids = [np.asarray(g, dtype=float) for g in grids]
     if len(grids) != cfg.m:
@@ -256,33 +238,35 @@ def simulate_regression(cfg: ModelConfig, grids, seed: int, noise_sd: float = 1.
     if sampling not in ("series", "covariance"):
         raise ValueError(f"unknown sampling route {sampling!r}")
     rng_g = substream(seed, 0)
+    subjects, observations = [], []
 
     if sampling == "series":
         g = sample_population(cfg, rng_g)
-        subjects, observations = [], []
+        base = g.padded(cfg.k_max)
+        dev_sd = np.sqrt(cfg.deviation_spectrum.eigenvalues(cfg.k_max))
         for j, grid in enumerate(grids, start=1):
             rng_j = substream(seed, j)
-            f = sample_subjects(g, ModelConfig(cfg.n, 1, cfg.prior_spectrum,
-                                               cfg.deviation_spectrum, cfg.k_max,
-                                               cfg.mode), rng_j)[0]
+            f = FunctionSeries(base + dev_sd * rng_j.standard_normal(cfg.k_max))
             y = series_eval(f, grid) + noise_sd * rng_j.standard_normal(grid.size)
             subjects.append(f)
             observations.append(y)
-        return g, subjects, RegressionDataset(tuple(grids), tuple(observations), noise_sd)
+    else:
+        eval_grid = np.zeros(0) if eval_grid is None else np.asarray(eval_grid, dtype=float)
+        all_points = np.unique(np.concatenate([eval_grid] + grids))
+        cov_g = build_covariance(cfg.prior_spectrum, all_points, cfg.k_max)
+        g_values = _mvn_sample(np.zeros(all_points.size), cov_g, rng_g)
+        g = GridFunction(all_points, g_values)
+        for j, grid in enumerate(grids, start=1):
+            rng_j = substream(seed, j)
+            pts = np.unique(np.concatenate([eval_grid, grid]))
+            cov_d = build_covariance(cfg.deviation_spectrum, pts, cfg.k_max)
+            dev = _mvn_sample(np.zeros(pts.size), cov_d, rng_j)
+            f = GridFunction(pts, g(pts) + dev)
+            y = f(grid) + noise_sd * rng_j.standard_normal(grid.size)
+            subjects.append(f)
+            observations.append(y)
 
-    eval_grid = np.zeros(0) if eval_grid is None else np.asarray(eval_grid, dtype=float)
-    all_points = np.unique(np.concatenate([eval_grid] + grids))
-    cov_g = build_covariance(cfg.prior_spectrum, all_points, cfg.k_max)
-    g_values = _mvn_sample(np.zeros(all_points.size), cov_g, rng_g)
-    g = GridFunction(all_points, g_values)
-    subjects, observations = [], []
-    for j, grid in enumerate(grids, start=1):
-        rng_j = substream(seed, j)
-        pts = np.unique(np.concatenate([eval_grid, grid]))
-        cov_d = build_covariance(cfg.deviation_spectrum, pts, cfg.k_max)
-        dev = _mvn_sample(np.zeros(pts.size), cov_d, rng_j)
-        f = GridFunction(pts, g(pts) + dev)
-        y = f(grid) + noise_sd * rng_j.standard_normal(grid.size)
-        subjects.append(f)
-        observations.append(y)
-    return g, subjects, RegressionDataset(tuple(grids), tuple(observations), noise_sd)
+    table = MultiSubjectTable(tuple(str(j) for j in range(1, cfg.m + 1)),
+                              tuple(np.arange(1, grid.size + 1) for grid in grids),
+                              tuple(grids), tuple(observations))
+    return g, subjects, table

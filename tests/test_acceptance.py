@@ -20,8 +20,8 @@ from twolevel.risk import (RateQuery, adaptive_f, adaptive_g, fixed_f, fixed_g,
                            posterior_f, posterior_g, rate_f, rate_g,
                            rate_gradient, run_monte_carlo, single_subject_f,
                            slope_recovery)
-from twolevel.simulate import (CoefficientPanel, ModelConfig, observe_panel,
-                               sample_population, sample_subjects, substream)
+from twolevel.simulate import (CoefficientPanel, ModelConfig, sample_panel,
+                               sample_population, substream)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -42,8 +42,7 @@ def test_criterion_1_posterior_conditioning_oracle():
                     cfg = ModelConfig(n, m, spec.prior_spectrum,
                                       spec.deviation_spectrum, k_max=6)
                     g = sample_population(cfg, rng)
-                    subs = sample_subjects(g, cfg, rng)
-                    panel = observe_panel(subs, cfg, rng)
+                    _, panel = sample_panel(g, cfg, rng)
                     est_g = posterior_mean_g(panel, spec)
                     est_f = [posterior_mean_f(panel, j, spec) for j in range(m)]
                     lam = spec.prior_spectrum.eigenvalues(6)

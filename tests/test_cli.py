@@ -1,4 +1,7 @@
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -66,6 +69,11 @@ class TestArtifacts:
         body = (out / "heatmap_rate_g.csv").read_text()
         assert "# bin_edges = " in body
 
+    def test_heatmap_has_no_budget_mode(self, tmp_path, capsys):
+        code, _, _ = run(capsys, "heatmap", "--alpha", "0.5", "--budget-mode", "linear_cost",
+                         "--out", str(tmp_path))
+        assert code == 2
+
     def test_rerun_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         argv = ["simulate", "--n", "20", "--m", "3", "--alpha", "0.5",
@@ -83,7 +91,20 @@ class TestArtifacts:
         assert code == 0
         head = (out / "dataset.csv").read_text().splitlines()
         assert "# seed = 37" in head
-        assert "subject,t,y" in head
+        assert "subject,i,t,y" in head
+
+    @pytest.mark.parametrize("sampling", ["series", "covariance"])
+    def test_simulate_then_compare(self, tmp_path, capsys, sampling):
+        code, _, _ = run(capsys, "simulate", "--n", "151", "--m", "4", "--alpha", "0.5",
+                         "--sampling", sampling, "--seed", "5", "--out", str(tmp_path))
+        assert code == 0
+        out = tmp_path / "cmp" / "rmspe.csv"
+        code, _, err = run(capsys, "compare", "--data", str(tmp_path / "dataset.csv"),
+                           "--out", str(out))
+        assert code == 0, err
+        body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        assert body[0] == "subject,rmspe_single,rmspe_double,diff"
+        assert [ln.split(",")[0] for ln in body[1:]] == ["1", "2", "3", "4"]
 
 
 class TestStudies:
@@ -128,14 +149,16 @@ def table_csv(tmp_path):
 
 
 class TestDataCommands:
-    def test_fit(self, tmp_path, table_csv, capsys):
-        out = tmp_path / "fit"
-        code, _, _ = run(capsys, "fit", "--data", str(table_csv),
+    def test_compare_out(self, tmp_path, table_csv, capsys):
+        out = tmp_path / "cmp"
+        code, _, _ = run(capsys, "compare", "--data", str(table_csv),
                          "--test-a", "4", "--test-b", "-2", "--test-count", "10",
-                         "--out", str(out))
+                         "--out", str(out / "rmspe.csv"))
         assert code == 0
         body = (out / "rmspe.csv").read_text()
+        assert "# command = compare" in body
         assert "subject,rmspe_single,rmspe_double,diff" in body
+        assert (out / "manifest.txt").exists()
 
     def test_compare_stdout(self, table_csv, capsys):
         code, out, _ = run(capsys, "compare", "--data", str(table_csv),
@@ -145,14 +168,14 @@ class TestDataCommands:
         assert "two-threshold wins on" in out
 
     def test_missing_data_file(self, tmp_path, capsys):
-        code, _, err = run(capsys, "fit", "--data", str(tmp_path / "nope.csv"))
+        code, _, err = run(capsys, "compare", "--data", str(tmp_path / "nope.csv"))
         assert code == 3
         assert "data error" in err
 
     def test_malformed_data_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("subject,i,t,y\na,1,0.5,1.0\na,2,0.25,2.0\n")
-        code, _, err = run(capsys, "fit", "--data", str(bad))
+        code, _, err = run(capsys, "compare", "--data", str(bad))
         assert code == 3
         assert "strictly increasing" in err
 
@@ -200,3 +223,13 @@ class TestDispatch:
     def test_entry_point_help(self, capsys):
         parser = build_parser()
         assert parser.prog == "twolevel"
+
+    def test_python_dash_m(self):
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "twolevel", "rates", "--n", "100",
+                               "--m", "100", "--alpha", "0.5"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "rate_g=" in proc.stdout

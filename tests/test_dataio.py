@@ -1,3 +1,6 @@
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -85,6 +88,12 @@ class TestParse:
         with pytest.raises(DataError, match="strictly increasing"):
             parse_table(text)
 
+    def test_times_merged_by_rescaling(self):
+        # 0 and 1 are distinct, but both map to 1.0 once -1e20 sets the scale
+        text = "subject,i,t,y\na,1,-1e20,1.0\na,2,0,1.0\na,3,1,1.0\n"
+        with pytest.raises(DataError, match="rescaling.*strictly increasing"):
+            parse_table(text)
+
     @settings(max_examples=40, deadline=None)
     @given(st.text(alphabet="subject,i\nty0123456789.# -e", max_size=300))
     def test_fuzz_never_crashes_unstructured(self, text):
@@ -131,7 +140,7 @@ class TestCompare:
         for j in range(m):
             for i in range(n):
                 lines.append(f"s{j + 1},{i + 1},{float(grid[i])!r},"
-                             f"{float(data.observations[j][i])!r}")
+                             f"{float(data.values[j][i])!r}")
         return parse_table("\n".join(lines) + "\n"), subs
 
     def test_result_schema(self):
@@ -161,3 +170,13 @@ class TestCompare:
         results = compare_estimators(table, SplitSpec(4, -2, 25), tau_single=0.01)
         wins = sum(r_double < r_single for _, r_single, r_double in results)
         assert wins >= table.m // 2
+
+
+def test_make_fixture_reproduces_bundled_table():
+    root = pathlib.Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("make_fixture",
+                                                  root / "scripts" / "make_fixture.py")
+    make_fixture = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixture)
+    bundled = (root / "tests" / "fixtures" / "synthetic_curves.csv").read_text()
+    assert make_fixture.build_table_text() == bundled

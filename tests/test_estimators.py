@@ -13,9 +13,8 @@ from twolevel.estimators import (PosteriorSpec, ThresholdSelection,
                                  pooled_coefficients, posterior_mean_f,
                                  posterior_mean_g, single_subject_estimate,
                                  single_subject_threshold, threshold_estimate_g)
-from twolevel.simulate import (CoefficientPanel, ModelConfig, observe_panel,
-                               sample_population, sample_subjects,
-                               simulate_regression, substream)
+from twolevel.simulate import (CoefficientPanel, ModelConfig, sample_panel,
+                               sample_population, simulate_regression, substream)
 
 
 def brute_force_min_k(sq_terms, tau, denom, bound):
@@ -30,8 +29,7 @@ def brute_force_min_k(sq_terms, tau, denom, bound):
 def random_panel(rng, n, m, width):
     cfg = ModelConfig(n, m, Spectrum(0.5), Spectrum(0.5), k_max=width)
     g = sample_population(cfg, rng)
-    subs = sample_subjects(g, cfg, rng)
-    return observe_panel(subs, cfg, rng)
+    return sample_panel(g, cfg, rng)[1]
 
 
 class TestLepskiiCore:
@@ -82,12 +80,6 @@ class TestEmpiricalCoefficients:
         _, _, data = simulate_regression(cfg, [grid], seed=2)
         assert empirical_coefficients(data, 8).aliased
         assert not empirical_coefficients(data, 5).aliased
-
-    def test_array_passthrough_needs_n(self):
-        with pytest.raises(ValueError):
-            empirical_coefficients(np.ones((2, 5)), 3)
-        panel = empirical_coefficients(np.ones((2, 5)), 3, n=10)
-        assert panel.n == 10 and panel.width == 3
 
 
 class TestPooling:
@@ -209,8 +201,7 @@ class TestPosteriorMeans:
         spec = PosteriorSpec(Spectrum(0.7, scale=1.2), Spectrum(0.4, scale=0.8))
         cfg = ModelConfig(n, m, spec.prior_spectrum, spec.deviation_spectrum, k_max=6)
         g = sample_population(cfg, rng)
-        subs = sample_subjects(g, cfg, rng)
-        panel = observe_panel(subs, cfg, rng)
+        _, panel = sample_panel(g, cfg, rng)
         est_g = posterior_mean_g(panel, spec)
         est_f = [posterior_mean_f(panel, j, spec) for j in range(m)]
         for k in range(6):

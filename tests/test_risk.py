@@ -109,12 +109,6 @@ class TestMonteCarlo:
         assert rep.summary_row().startswith(f"{rep.label},g,3,0,")
         assert rep.config["seed"] == 1
 
-    def test_regression_mode_rejected(self):
-        cfg = ModelConfig(60, 6, Spectrum(1.0), Spectrum(0.5), k_max=80,
-                          mode="regression")
-        with pytest.raises(ValueError):
-            run_monte_carlo(cfg, [adaptive_g()], replicates=1, seed=0)
-
 
 class TestRates:
     def test_rate_g_example(self):

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from twolevel.basis import FunctionSeries, Spectrum, fourier_eval, series_eval
-from twolevel.simulate import (ModelConfig, RegressionDataset, build_covariance,
-                               default_k_max, observe_panel, observe_sequence,
-                               sample_population, sample_subjects,
+from twolevel.dataio import parse_table
+from twolevel.simulate import (ModelConfig, MultiSubjectTable, build_covariance,
+                               default_k_max, sample_panel, sample_population,
                                simulate_regression, study1_grids, substream)
 
 
@@ -34,48 +36,76 @@ class TestSamplePopulation:
         assert np.var(draws) == pytest.approx(0.25, abs=0.01)
 
 
+def per_subject_panel(g, cfg, rng):
+    """Reference draw, one subject at a time: K deviation normals for each
+    subject, then K noise normals for each subject."""
+    base = g.padded(cfg.k_max)
+    sd = np.sqrt(cfg.deviation_spectrum.eigenvalues(cfg.k_max))
+    subjects = [base + sd * rng.standard_normal(cfg.k_max) for _ in range(cfg.m)]
+    rows = [f + rng.standard_normal(cfg.k_max) / math.sqrt(cfg.n) for f in subjects]
+    return np.array(subjects), np.array(rows)
+
+
+@pytest.mark.parametrize("n,m,k_max", [(100, 100, 800), (1, 5000, 71), (10, 2, 6), (7, 3, 33)])
+def test_sample_panel_matches_per_subject_draws(n, m, k_max):
+    cfg = ModelConfig(n, m, Spectrum(0.5), Spectrum(0.5), k_max=k_max)
+    g = sample_population(cfg, substream(5, n, m))
+    deviations, panel = sample_panel(g, cfg, substream(6, n, m))
+    subjects, rows = per_subject_panel(g, cfg, substream(6, n, m))
+    np.testing.assert_array_equal(panel.coeffs, rows)
+    np.testing.assert_array_equal(g.padded(k_max) + deviations, subjects)
+    assert (panel.n, panel.m, panel.width) == (n, m, k_max)
+
+
 class TestSampleSubjects:
+    """The deviation half of ``sample_panel``: subjects g + e^(j)."""
+
     def test_degenerate_deviations(self, cfg):
         g = sample_population(cfg, substream(1, 0))
         tight = ModelConfig(cfg.n, cfg.m, cfg.prior_spectrum,
                             Spectrum(1.0, scale=1e-300), cfg.k_max)
-        subs = sample_subjects(g, tight, substream(1, 1))
-        for f in subs:
-            np.testing.assert_allclose(f.coeffs, g.coeffs, atol=1e-140)
+        deviations, _ = sample_panel(g, tight, substream(1, 1))
+        for e in deviations:
+            np.testing.assert_allclose(g.padded(cfg.k_max) + e, g.coeffs, atol=1e-140)
 
     def test_zero_subjects(self, cfg):
         empty = ModelConfig(cfg.n, 0, cfg.prior_spectrum, cfg.deviation_spectrum, cfg.k_max)
         g = sample_population(empty, substream(0, 0))
-        assert sample_subjects(g, empty, substream(0, 1)) == []
+        deviations, panel = sample_panel(g, empty, substream(0, 1))
+        assert deviations.shape == (0, cfg.k_max)
+        assert panel.m == 0
 
     def test_clt_mean(self):
         cfg = ModelConfig(1, 20000, Spectrum(0.5), Spectrum(0.5), k_max=2)
         g = FunctionSeries([0.7, -0.2])
-        subs = sample_subjects(g, cfg, substream(5, 0))
-        draws = np.array([f.coeffs[0] for f in subs])
+        deviations, _ = sample_panel(g, cfg, substream(5, 0))
+        draws = 0.7 + deviations[:, 0]
         lam1 = cfg.deviation_spectrum.eigenvalue(1)
         assert abs(draws.mean() - 0.7) < 3 * np.sqrt(lam1 / 20000)
 
 
 class TestObserveSequence:
+    """The observation half of ``sample_panel``: rows f^(j) + n^{-1/2} Z."""
+
     def test_high_precision_limit(self):
-        cfg = ModelConfig(10**6, 1, Spectrum(0.5), Spectrum(0.5), k_max=3)
-        f = FunctionSeries([1.0, 2.0, 3.0])
-        rng = substream(9, 0)
-        rows = np.array([observe_sequence(f, cfg, rng) for _ in range(10000)])
-        assert np.var(rows - f.coeffs, axis=0).max() < 2e-6
+        cfg = ModelConfig(10**6, 10000, Spectrum(0.5), Spectrum(0.5), k_max=3)
+        g = FunctionSeries([1.0, 2.0, 3.0])
+        deviations, panel = sample_panel(g, cfg, substream(9, 0))
+        noise = panel.coeffs - (g.coeffs + deviations)
+        assert np.var(noise, axis=0).max() < 2e-6
 
     def test_determinism(self, cfg):
-        f = sample_population(cfg, substream(2, 0))
-        r1 = observe_sequence(f, cfg, substream(2, 1))
-        r2 = observe_sequence(f, cfg, substream(2, 1))
-        np.testing.assert_array_equal(r1, r2)
+        g = sample_population(cfg, substream(2, 0))
+        d1, p1 = sample_panel(g, cfg, substream(2, 1))
+        d2, p2 = sample_panel(g, cfg, substream(2, 1))
+        np.testing.assert_array_equal(d1, d2)
+        np.testing.assert_array_equal(p1.coeffs, p2.coeffs)
 
     def test_clt_mean(self):
-        cfg = ModelConfig(100, 1, Spectrum(0.5), Spectrum(0.5), k_max=2)
-        f = FunctionSeries([1.0, -0.5])
-        rng = substream(11, 0)
-        rows = np.array([observe_sequence(f, cfg, rng) for _ in range(50000)])
+        cfg = ModelConfig(100, 50000, Spectrum(0.5), Spectrum(0.5), k_max=2)
+        g = FunctionSeries([1.0, -0.5])
+        deviations, panel = sample_panel(g, cfg, substream(11, 0))
+        rows = panel.coeffs - deviations
         tol = 3 * np.sqrt(1.0 / (100 * 50000))
         assert abs(rows[:, 0].mean() - 1.0) < tol
 
@@ -139,14 +169,14 @@ class TestSimulateRegression:
         return [grid] * cfg.m
 
     def test_noiseless_observations(self, cfg):
-        g, subs, data = simulate_regression(cfg, self.grids(cfg), seed=4, noise_sd=0.0)
-        for f, grid, y in zip(subs, data.grids, data.observations):
+        g, subs, table = simulate_regression(cfg, self.grids(cfg), seed=4, noise_sd=0.0)
+        for f, grid, y in zip(subs, table.times, table.values):
             np.testing.assert_allclose(y, series_eval(f, grid), atol=1e-12)
 
     def test_seed_determinism(self, cfg):
         _, _, d1 = simulate_regression(cfg, self.grids(cfg), seed=4)
         _, _, d2 = simulate_regression(cfg, self.grids(cfg), seed=4)
-        for y1, y2 in zip(d1.observations, d2.observations):
+        for y1, y2 in zip(d1.values, d2.values):
             np.testing.assert_array_equal(y1, y2)
 
     def test_marginal_variance_of_deviations(self):
@@ -157,7 +187,7 @@ class TestSimulateRegression:
         draws = []
         for r in range(20000):
             _, _, d = simulate_regression(cfg, [grid], seed=1000 + r)
-            draws.append(d.observations[0][0])
+            draws.append(d.values[0][0])
         target = build_covariance(dev, grid, 64)[0, 0] + 1.0
         se = target * np.sqrt(2.0 / 20000)
         assert np.var(draws) == pytest.approx(target, abs=3.5 * se)
@@ -188,22 +218,27 @@ class TestSimulateRegression:
 
 
 class TestRegressionDataset:
+    """The ``subject,i,t,y`` table that ``simulate_regression`` returns."""
+
     def test_csv_round_trip(self, cfg):
         grid = (np.arange(10) + 0.5) / 10
-        _, _, data = simulate_regression(cfg, [grid] * cfg.m, seed=6)
-        again = RegressionDataset.from_csv(data.to_csv())
-        for g1, g2 in zip(data.grids, again.grids):
-            np.testing.assert_array_equal(g1, g2)
-        for y1, y2 in zip(data.observations, again.observations):
-            np.testing.assert_array_equal(y1, y2)
+        _, _, table = simulate_regression(cfg, [grid] * cfg.m, seed=6)
+        assert table.subject_ids == tuple(str(j) for j in range(1, cfg.m + 1))
+        again = parse_table(table.to_csv())
+        assert again.subject_ids == table.subject_ids
+        for column in ("indices", "times", "values"):
+            for x, y in zip(getattr(table, column), getattr(again, column)):
+                np.testing.assert_array_equal(x, y)
 
     def test_rejects_ragged(self):
-        with pytest.raises(ValueError):
-            RegressionDataset((np.array([0.1, 0.2]),), (np.array([1.0]),))
+        with pytest.raises(ValueError, match="differ in length"):
+            MultiSubjectTable(("1",), (np.arange(1, 3),), (np.array([0.1, 0.2]),),
+                              (np.array([1.0]),))
 
     def test_rejects_non_monotone_grid(self):
-        with pytest.raises(ValueError):
-            RegressionDataset((np.array([0.2, 0.1]),), (np.array([1.0, 2.0]),))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            MultiSubjectTable(("1",), (np.arange(1, 3),), (np.array([0.2, 0.1]),),
+                              (np.array([1.0, 2.0]),))
 
 
 def test_default_k_max_covers_search_bound():
@@ -212,12 +247,10 @@ def test_default_k_max_covers_search_bound():
 
 
 def test_exchangeability_of_subject_streams():
-    # permuting subjects permutes outputs; pooled statistics are unchanged
+    # permuting subjects permutes panel rows; pooled statistics are unchanged
     cfg = ModelConfig(10, 5, Spectrum(0.5), Spectrum(0.5), k_max=8)
     g = sample_population(cfg, substream(7, 0))
-    subs = sample_subjects(g, cfg, substream(7, 1))
-    panel = observe_panel(subs, cfg, substream(7, 2))
+    _, panel = sample_panel(g, cfg, substream(7, 1))
     perm = [3, 1, 4, 0, 2]
-    panel_perm = observe_panel([subs[p] for p in perm], cfg, substream(7, 3))
-    np.testing.assert_allclose(panel.coeffs.mean(axis=0).shape,
-                               panel_perm.coeffs.mean(axis=0).shape)
+    np.testing.assert_allclose(panel.coeffs[perm].mean(axis=0),
+                               panel.coeffs.mean(axis=0), rtol=0, atol=1e-14)
