@@ -20,7 +20,8 @@ from .basis import Spectrum
 from .dataio import (DataError, SplitSpec, compare_estimators, comparison_csv,
                      load_table)
 from .design import emit_gradient_map, emit_heatmap, enumerate_designs
-from .estimators import (PosteriorSpec, lepskii_thresholds_f, oracle_thresholds)
+from .estimators import (PosteriorSpec, lepskii_thresholds_f, oracle_thresholds,
+                         subject_stats)
 from .risk import (RateQuery, adaptive_f, adaptive_g, fixed_g, posterior_f,
                    posterior_g, rate_f, rate_g, run_monte_carlo, single_subject_f)
 from .simulate import (ModelConfig, sample_panel, sample_population,
@@ -151,15 +152,17 @@ def _default_plan(args):
 
 def _run_reports(cfg, plan, args, out_dir, command):
     reports = run_monte_carlo(cfg, plan, args.replicates, args.seed)
+    # every summary row first: an estimator without one successful replicate
+    # fails the run before any file is written
+    summary = ["estimator,target,replicates,failures,median,mean,q1,q3,mean_log"]
+    summary += [report.summary_row() for report in reports.values()]
     os.makedirs(out_dir, exist_ok=True)
     config = dict(command=command, n=cfg.n, m=cfg.m, alpha=args.alpha,
                   alpha_tilde=args.alpha_tilde, k_max=cfg.k_max,
                   replicates=args.replicates, seed=args.seed,
                   tau=args.tau, tau1=args.tau1, tau2=args.tau2)
-    summary = ["estimator,target,replicates,failures,median,mean,q1,q3,mean_log"]
     for label, report in reports.items():
         _write(os.path.join(out_dir, f"report_{label}.csv"), report.to_csv(), config)
-        summary.append(report.summary_row())
     _write(os.path.join(out_dir, "summary.csv"), "\n".join(summary) + "\n", config)
     _write_manifest(out_dir, config)
     return reports
@@ -241,7 +244,7 @@ def _cmd_oracle_check(args) -> int:
     g = sample_population(cfg, rng)
     k1_star, k2_star = oracle_thresholds(g, deviation, cfg.n, cfg.m)
     _, panel = sample_panel(g, cfg, rng)
-    sel = lepskii_thresholds_f(panel, 0, tau1=args.tau1, tau2=args.tau2)
+    sel = lepskii_thresholds_f(subject_stats(panel, 0), tau1=args.tau1, tau2=args.tau2)
     print(f"oracle k1*={k1_star} k2*={k2_star} adaptive k1={sel.k1} k2={sel.k2}")
     return 0
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import (double_threshold_estimate_f, empirical_coefficients,
-                         lepskii_thresholds_f, single_subject_estimate)
+                         lepskii_thresholds_f, single_subject_estimate,
+                         subject_stats)
 from .risk import rmspe
 from .simulate import MultiSubjectTable
 
@@ -122,6 +123,9 @@ class SplitSpec:
 def split(table: MultiSubjectTable, spec: SplitSpec):
     """Partition every subject's indices into (train table, test table)."""
     test_idx = set(spec.test_indices(table.n).tolist())
+    if len(test_idx) == table.n:
+        raise DataError(f"test indices cover all n = {table.n} time indices; "
+                        f"no training data left")
 
     def take(keep):
         mask_list, idx, t, y = [], [], [], []
@@ -152,10 +156,11 @@ def compare_estimators(table: MultiSubjectTable, spec: SplitSpec,
     panel = empirical_coefficients(train, width)
     results = []
     for j, sid in enumerate(table.subject_ids):
-        single = single_subject_estimate(panel.coeffs[j], n_train, train.m,
+        stats = subject_stats(panel, j)
+        single = single_subject_estimate(stats.own, n_train, train.m,
                                          tau=tau_single, denominator=denominator)
-        sel = lepskii_thresholds_f(panel, j, tau1=tau1, tau2=tau2)
-        double = double_threshold_estimate_f(panel, j, sel.k1, sel.k2)
+        sel = lepskii_thresholds_f(stats, tau1=tau1, tau2=tau2)
+        double = double_threshold_estimate_f(stats, sel.k1, sel.k2)
         t_test, y_test = test.times[j], test.values[j]
         results.append((sid, rmspe(single, t_test, y_test), rmspe(double, t_test, y_test)))
     return results

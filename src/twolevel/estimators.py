@@ -14,13 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import FunctionSeries, Spectrum, fourier_matrix
-from .simulate import CoefficientPanel, MultiSubjectTable
+from .simulate import CoefficientPanel, MultiSubjectTable, SubjectStats
 
 __all__ = [
     "ThresholdSelection",
     "PosteriorSpec",
     "empirical_coefficients",
     "pooled_coefficients",
+    "subject_stats",
     "threshold_estimate_g",
     "lepskii_threshold_g",
     "double_threshold_estimate_f",
@@ -114,14 +115,23 @@ def pooled_coefficients(panel: CoefficientPanel, exclude_subject: int | None = N
     return panel.coeffs[mask].mean(axis=0)
 
 
-def threshold_estimate_g(panel: CoefficientPanel, K: int,
-                         exclude_subject: int | None = None) -> FunctionSeries:
+def subject_stats(panel: CoefficientPanel, subject: int) -> SubjectStats:
+    """The statistics the estimators read of one subject (0-based row) of a
+    panel: its row and the leave-one-out mean of the others."""
+    if not 0 <= subject < panel.m:
+        raise IndexError(f"subject index out of range: {subject}")
+    donor_mean = (pooled_coefficients(panel, exclude_subject=subject)
+                  if panel.m > 1 else None)
+    return SubjectStats(panel.n, panel.m, panel.coeffs[subject], donor_mean)
+
+
+def threshold_estimate_g(stats: SubjectStats, K: int) -> FunctionSeries:
     """Pooled series estimator keeping the first K coefficients."""
-    if K < 0 or K > panel.width:
-        raise ValueError(f"K must be in 0..{panel.width}, got {K}")
+    if K < 0 or K > stats.width:
+        raise ValueError(f"K must be in 0..{stats.width}, got {K}")
     if K == 0:
         return FunctionSeries.zero()
-    return FunctionSeries(pooled_coefficients(panel, exclude_subject)[:K])
+    return FunctionSeries(stats.pooled[:K])
 
 
 def _lepskii_min_k(sq_terms: np.ndarray, tau: float, denom: float, bound: int) -> int:
@@ -144,8 +154,7 @@ def _lepskii_min_k(sq_terms: np.ndarray, tau: float, denom: float, bound: int) -
     return int(ok[0]) + 1 if ok.size else bound
 
 
-def lepskii_threshold_g(panel: CoefficientPanel, tau: float = 6.5,
-                        exclude_subject: int | None = None) -> ThresholdSelection:
+def lepskii_threshold_g(stats: SubjectStats, tau: float = 6.5) -> ThresholdSelection:
     """Data-driven truncation level for the pooled estimator of g.
 
     Searches k in 1..floor(sqrt(n*m)) for the smallest level whose estimator
@@ -154,33 +163,33 @@ def lepskii_threshold_g(panel: CoefficientPanel, tau: float = 6.5,
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    bound = int(math.isqrt(panel.n * panel.m))
-    if bound > panel.width:
+    bound = int(math.isqrt(stats.n * stats.m))
+    if bound > stats.width:
         raise ValueError(f"panel too narrow for search bound {bound}")
-    pooled_sq = pooled_coefficients(panel, exclude_subject) ** 2
-    k = _lepskii_min_k(pooled_sq, tau, panel.n * panel.m, bound)
+    k = _lepskii_min_k(stats.pooled**2, tau, stats.n * stats.m, bound)
     return ThresholdSelection("g_single_threshold", k, k, tau, tau, bound)
 
 
-def double_threshold_estimate_f(panel: CoefficientPanel, subject: int,
-                                k1: int, k2: int) -> FunctionSeries:
+def double_threshold_estimate_f(stats: SubjectStats, k1: int, k2: int) -> FunctionSeries:
     """Subject estimator using own coefficients up to k1, leave-one-out pooled
     coefficients on (k1, k2], zero beyond."""
     if k1 > k2:
         raise ValueError(f"need k1 <= k2, got ({k1}, {k2})")
-    if k2 > panel.width:
+    if k2 > stats.width:
         raise ValueError("k2 exceeds panel width")
     if k2 == 0:
         return FunctionSeries.zero()
     coeffs = np.zeros(k2)
-    coeffs[:k1] = panel.coeffs[subject, :k1]
+    coeffs[:k1] = stats.own[:k1]
     if k2 > k1:
-        coeffs[k1:k2] = pooled_coefficients(panel, exclude_subject=subject)[k1:k2]
+        if stats.donor_mean is None:
+            raise ValueError("leave-one-out pooling needs at least 2 subjects")
+        coeffs[k1:k2] = stats.donor_mean[k1:k2]
     return FunctionSeries(coeffs)
 
 
-def lepskii_thresholds_f(panel: CoefficientPanel, subject: int,
-                         tau1: float = 4.5, tau2: float = 6.5) -> ThresholdSelection:
+def lepskii_thresholds_f(stats: SubjectStats, tau1: float = 4.5,
+                         tau2: float = 6.5) -> ThresholdSelection:
     """Data-driven thresholds (k1, k1 v k2) for the double-thresholding
     subject estimator.
 
@@ -189,18 +198,17 @@ def lepskii_thresholds_f(panel: CoefficientPanel, subject: int,
     over l <= sqrt(n)), whose norm differences reduce to sums of squared
     (own - pooled) coefficient gaps.
     """
-    if panel.m < 2:
+    if stats.m < 2:
         raise ValueError("need at least 2 subjects; use single_subject_estimate for m = 1")
     if tau1 <= 0 or tau2 <= 0:
         raise ValueError("tau values must be positive")
-    n, m = panel.n, panel.m
+    n, m = stats.n, stats.m
     bound2 = int(math.isqrt(n * m))
     bound1 = int(math.isqrt(n))
-    if bound2 > panel.width:
+    if bound2 > stats.width:
         raise ValueError(f"panel too narrow for search bound {bound2}")
-    pooled = pooled_coefficients(panel, exclude_subject=subject)
-    k2 = _lepskii_min_k(pooled**2, tau2, n * m, bound2)
-    gaps_sq = (panel.coeffs[subject] - pooled) ** 2
+    k2 = _lepskii_min_k(stats.donor_mean**2, tau2, n * m, bound2)
+    gaps_sq = (stats.own - stats.donor_mean) ** 2
     k1 = _lepskii_min_k(gaps_sq, tau1, n, bound1)
     return ThresholdSelection("f_double_threshold", k1, max(k1, k2), tau1, tau2, bound2)
 
@@ -231,31 +239,29 @@ def single_subject_estimate(row: np.ndarray, n: int, m: int, tau: float = 2.0,
     return FunctionSeries(row[: sel.k1])
 
 
-def posterior_mean_g(panel: CoefficientPanel, spec: PosteriorSpec) -> FunctionSeries:
+def posterior_mean_g(stats: SubjectStats, spec: PosteriorSpec) -> FunctionSeries:
     """Conjugate posterior mean for g: shrink the all-subject pooled mean by
     ``1 / (zeta_k^{-1} m^{-1} (zeta~_k + 1/n) + 1)``."""
-    lam = spec.prior_spectrum.eigenvalues(panel.width)
-    lamt = spec.deviation_spectrum.eigenvalues(panel.width)
-    pooled = pooled_coefficients(panel)
-    shrink = 1.0 / ((lamt + 1.0 / panel.n) / (panel.m * lam) + 1.0)
-    return FunctionSeries(shrink * pooled)
+    lam = spec.prior_spectrum.eigenvalues(stats.width)
+    lamt = spec.deviation_spectrum.eigenvalues(stats.width)
+    shrink = 1.0 / ((lamt + 1.0 / stats.n) / (stats.m * lam) + 1.0)
+    return FunctionSeries(shrink * stats.pooled)
 
 
-def posterior_mean_f(panel: CoefficientPanel, subject: int, spec: PosteriorSpec) -> FunctionSeries:
+def posterior_mean_f(stats: SubjectStats, spec: PosteriorSpec) -> FunctionSeries:
     """Conjugate posterior mean for one subject's function.
 
     Combines the subject's own coefficients with the leave-one-out pooled
     mean of the m - 1 donor subjects; with m = 1 it degrades to conjugate
     shrinkage against the subject's marginal prior variance.
     """
-    n = panel.n
-    width = panel.width
+    n = stats.n
+    width = stats.width
     lam = spec.prior_spectrum.eigenvalues(width)
     lamt = spec.deviation_spectrum.eigenvalues(width)
-    donors = panel.m - 1
-    own = panel.coeffs[subject]
-    ybar = (pooled_coefficients(panel, exclude_subject=subject)
-            if donors > 0 else np.zeros(width))
+    donors = stats.m - 1
+    own = stats.own
+    ybar = stats.donor_mean if donors > 0 else np.zeros(width)
     c = 1.0 / lam + 1.0 / lamt + donors / (lamt + 1.0 / n)
     a = (1.0 / lamt) * donors / (lamt + 1.0 / n) / c
     b = (1.0 / lam + donors / (lamt + 1.0 / n)) / c

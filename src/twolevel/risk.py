@@ -1,9 +1,9 @@
 """Monte Carlo risk harness and theoretical rate calculator.
 
-The harness simulates replicate datasets, fits a plan of estimators, and
-scores each fit by empirical MISE on an evaluation grid.  The rate functions
-implement the closed-form risk rates (all constants fixed to 1, so only
-slopes and orderings are meaningful) together with their analytic
+The harness draws each replicate's sufficient statistics, fits a plan of
+estimators, and scores each fit by its exact L2 risk (Parseval).  The rate
+functions implement the closed-form risk rates (all constants fixed to 1, so
+only slopes and orderings are meaningful) together with their analytic
 cost-weighted gradients.
 """
 
@@ -15,9 +15,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .basis import FunctionSeries, fourier_matrix, series_eval
-from .simulate import (CoefficientPanel, ModelConfig, sample_panel,
-                       sample_population, substream)
+from .basis import FunctionSeries, series_eval
+from .simulate import (ModelConfig, SubjectStats, sample_population, sample_stats,
+                       substream)
 from . import estimators as est
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "RateGradient",
     "EstimatorSpec",
     "empirical_mise",
+    "parseval_mise",
     "rmspe",
     "run_monte_carlo",
     "rate_g",
@@ -63,6 +64,15 @@ def empirical_mise(estimate: FunctionSeries, truth_values, grid) -> float:
     return float(np.mean(diff**2))
 
 
+def parseval_mise(estimate: FunctionSeries, truth) -> float:
+    """Squared L2 distance between the series and a truth given by its
+    coefficients: the sum of squared coefficient differences (Parseval)."""
+    truth = np.asarray(truth, dtype=float)
+    diff = estimate.padded(max(len(estimate), truth.size))
+    diff[: truth.size] -= truth
+    return float(diff @ diff)
+
+
 def rmspe(estimate: FunctionSeries, test_t, test_y) -> float:
     """Root mean squared prediction error on held-out points."""
     test_t = np.asarray(test_t, dtype=float)
@@ -79,61 +89,60 @@ def rmspe(estimate: FunctionSeries, test_t, test_y) -> float:
 @dataclass(frozen=True)
 class EstimatorSpec:
     """One entry of a Monte Carlo plan: a label, the target function
-    ("g" or "f", where "f" means subject 0), and a fit on a panel."""
+    ("g" or "f", where "f" means subject 0), and a fit on subject 0's
+    statistics."""
 
     label: str
     target: str
-    fit: Callable[[CoefficientPanel], FunctionSeries]
+    fit: Callable[[SubjectStats], FunctionSeries]
 
 
 def adaptive_g(tau: float = 6.5) -> EstimatorSpec:
-    def fit(panel):
-        sel = est.lepskii_threshold_g(panel, tau=tau)
-        return est.threshold_estimate_g(panel, sel.k1)
+    def fit(stats):
+        sel = est.lepskii_threshold_g(stats, tau=tau)
+        return est.threshold_estimate_g(stats, sel.k1)
     return EstimatorSpec(f"adaptive_g_tau{tau:g}", "g", fit)
 
 
 def fixed_g(beta: float) -> EstimatorSpec:
     """Pooled estimator with the nonadaptive threshold (n*m)^(1/(1+2*beta))."""
-    def fit(panel):
-        K = math.ceil((panel.n * panel.m) ** (1.0 / (1.0 + 2.0 * beta)))
-        return est.threshold_estimate_g(panel, K)
+    def fit(stats):
+        K = math.ceil((stats.n * stats.m) ** (1.0 / (1.0 + 2.0 * beta)))
+        return est.threshold_estimate_g(stats, K)
     return EstimatorSpec(f"fixed_g_beta{beta:g}", "g", fit)
 
 
-def adaptive_f(tau1: float = 4.5, tau2: float = 6.5, subject: int = 0) -> EstimatorSpec:
-    def fit(panel):
-        sel = est.lepskii_thresholds_f(panel, subject, tau1=tau1, tau2=tau2)
-        return est.double_threshold_estimate_f(panel, subject, sel.k1, sel.k2)
+def adaptive_f(tau1: float = 4.5, tau2: float = 6.5) -> EstimatorSpec:
+    def fit(stats):
+        sel = est.lepskii_thresholds_f(stats, tau1=tau1, tau2=tau2)
+        return est.double_threshold_estimate_f(stats, sel.k1, sel.k2)
     return EstimatorSpec(f"adaptive_f_tau{tau1:g}_{tau2:g}", "f", fit)
 
 
-def fixed_f(alpha: float, alpha_tilde: float, subject: int = 0) -> EstimatorSpec:
+def fixed_f(alpha: float, alpha_tilde: float) -> EstimatorSpec:
     """Double-thresholding estimator with the nonadaptive threshold pair."""
-    def fit(panel):
-        k1 = math.ceil(panel.n ** (1.0 / (1.0 + 2.0 * alpha_tilde)))
-        k2 = max(k1, math.ceil((panel.n * panel.m) ** (1.0 / (1.0 + 2.0 * alpha))))
-        return est.double_threshold_estimate_f(panel, subject, k1, k2)
+    def fit(stats):
+        k1 = math.ceil(stats.n ** (1.0 / (1.0 + 2.0 * alpha_tilde)))
+        k2 = max(k1, math.ceil((stats.n * stats.m) ** (1.0 / (1.0 + 2.0 * alpha))))
+        return est.double_threshold_estimate_f(stats, k1, k2)
     return EstimatorSpec(f"fixed_f_a{alpha:g}_at{alpha_tilde:g}", "f", fit)
 
 
-def single_subject_f(tau: float = 2.0, denominator: str = "nm",
-                     subject: int = 0) -> EstimatorSpec:
-    def fit(panel):
-        return est.single_subject_estimate(panel.coeffs[subject], panel.n, panel.m,
+def single_subject_f(tau: float = 2.0, denominator: str = "nm") -> EstimatorSpec:
+    def fit(stats):
+        return est.single_subject_estimate(stats.own, stats.n, stats.m,
                                            tau=tau, denominator=denominator)
     return EstimatorSpec(f"single_f_tau{tau:g}", "f", fit)
 
 
 def posterior_g(spec: est.PosteriorSpec) -> EstimatorSpec:
     label = f"posterior_g_b{spec.prior_spectrum.decay:g}_bt{spec.deviation_spectrum.decay:g}"
-    return EstimatorSpec(label, "g", lambda panel: est.posterior_mean_g(panel, spec))
+    return EstimatorSpec(label, "g", lambda stats: est.posterior_mean_g(stats, spec))
 
 
-def posterior_f(spec: est.PosteriorSpec, subject: int = 0) -> EstimatorSpec:
+def posterior_f(spec: est.PosteriorSpec) -> EstimatorSpec:
     label = f"posterior_f_b{spec.prior_spectrum.decay:g}_bt{spec.deviation_spectrum.decay:g}"
-    return EstimatorSpec(label, "f",
-                         lambda panel: est.posterior_mean_f(panel, subject, spec))
+    return EstimatorSpec(label, "f", lambda stats: est.posterior_mean_f(stats, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +151,11 @@ def posterior_f(spec: est.PosteriorSpec, subject: int = 0) -> EstimatorSpec:
 
 @dataclass
 class RiskReport:
-    """Per-replicate MISE values for one estimator, with a config echo."""
+    """Per-replicate MISE values for one estimator, with a config echo.
+
+    ``first_failure`` is ``"<Type>: <message>"`` of the first replicate
+    whose fit failed, or None.
+    """
 
     label: str
     target: str
@@ -150,6 +163,7 @@ class RiskReport:
     failures: int
     config: dict
     seed: int
+    first_failure: str | None = None
 
     @property
     def replicates(self) -> int:
@@ -158,7 +172,8 @@ class RiskReport:
     def _clean(self) -> np.ndarray:
         vals = self.mises[np.isfinite(self.mises)]
         if vals.size == 0:
-            raise ValueError(f"no successful replicates for {self.label}")
+            raise ValueError(f"no successful replicates for {self.label}; "
+                             f"first failure: {self.first_failure}")
         return vals
 
     @property
@@ -190,60 +205,39 @@ class RiskReport:
                 f"{self.median!r},{self.mean!r},{q1!r},{q3!r},{self.mean_log!r}")
 
 
-class _GridEvaluator:
-    """Caches the basis design matrix for repeated series evaluation."""
-
-    def __init__(self, grid: np.ndarray, width: int):
-        self.grid = np.asarray(grid, dtype=float)
-        self.psi = fourier_matrix(self.grid, width)
-
-    def __call__(self, series: FunctionSeries) -> np.ndarray:
-        k = min(len(series), self.psi.shape[1])
-        if len(series) > self.psi.shape[1]:
-            raise ValueError("series wider than the cached evaluator")
-        return self.psi[:, :k] @ series.coeffs[:k]
-
-
-def run_monte_carlo(cfg: ModelConfig, plan, replicates: int, seed: int,
-                    eval_grid_g=None, eval_grid_f=None) -> dict[str, RiskReport]:
+def run_monte_carlo(cfg: ModelConfig, plan, replicates: int,
+                    seed: int) -> dict[str, RiskReport]:
     """Simulate ``replicates`` sequence-mode datasets and score every
-    estimator in the plan by empirical MISE against its target.
+    estimator in the plan by its L2 risk against its target.
 
-    Deterministic given (cfg, plan, replicates, seed); replicate r uses the
-    substream keyed by (seed, r).
+    Each replicate draws g and subject 0's statistics (:func:`sample_stats`)
+    from the substream keyed by (seed, r), so results are deterministic
+    given (cfg, plan, replicates, seed).  A fit that raises ``ValueError``
+    or ``LinAlgError`` counts as a failed replicate; any other exception
+    propagates.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
+    if cfg.m < 1:
+        raise ValueError(f"need at least 1 subject, got m={cfg.m}")
     plan = list(plan)
-    targets = {spec.target for spec in plan}
-    evaluators = {}
-    if "g" in targets:
-        grid = default_eval_grid_g() if eval_grid_g is None else np.asarray(eval_grid_g, float)
-        evaluators["g"] = _GridEvaluator(grid, cfg.k_max)
-    if "f" in targets:
-        grid = default_eval_grid_f() if eval_grid_f is None else np.asarray(eval_grid_f, float)
-        evaluators["f"] = _GridEvaluator(grid, cfg.k_max)
-
     mises = {spec.label: np.full(replicates, np.nan) for spec in plan}
     failures = {spec.label: 0 for spec in plan}
+    first_failure = {}
     for r in range(replicates):
         rng = substream(seed, r)
         g = sample_population(cfg, rng)
-        deviations, panel = sample_panel(g, cfg, rng)
-        truth_values = {}
-        if "g" in evaluators:
-            truth_values["g"] = evaluators["g"](g)
-        if "f" in evaluators:
-            f0 = FunctionSeries(g.padded(cfg.k_max) + deviations[0])
-            truth_values["f"] = evaluators["f"](f0)
+        deviation0, stats = sample_stats(g, cfg, rng)
+        g_coeffs = g.padded(cfg.k_max)
+        truths = {"g": g_coeffs, "f": g_coeffs + deviation0}
         for spec in plan:
             try:
-                fitted = spec.fit(panel)
-                ev = evaluators[spec.target]
-                diff = ev(fitted) - truth_values[spec.target]
-                mises[spec.label][r] = float(np.mean(diff**2))
-            except Exception:
+                fitted = spec.fit(stats)
+            except (ValueError, np.linalg.LinAlgError) as err:
                 failures[spec.label] += 1
+                first_failure.setdefault(spec.label, f"{type(err).__name__}: {err}")
+                continue
+            mises[spec.label][r] = parseval_mise(fitted, truths[spec.target])
 
     config_echo = {
         "n": cfg.n, "m": cfg.m, "k_max": cfg.k_max,
@@ -253,7 +247,8 @@ def run_monte_carlo(cfg: ModelConfig, plan, replicates: int, seed: int,
         "replicates": replicates, "seed": seed,
     }
     return {spec.label: RiskReport(spec.label, spec.target, mises[spec.label],
-                                   failures[spec.label], dict(config_echo), seed)
+                                   failures[spec.label], dict(config_echo), seed,
+                                   first_failure.get(spec.label))
             for spec in plan}
 
 

@@ -24,12 +24,14 @@ from .basis import FunctionSeries, Spectrum, fourier_matrix, series_eval
 __all__ = [
     "ModelConfig",
     "CoefficientPanel",
+    "SubjectStats",
     "MultiSubjectTable",
     "GridFunction",
     "default_k_max",
     "substream",
     "sample_population",
     "sample_panel",
+    "sample_stats",
     "build_covariance",
     "study1_grids",
     "simulate_regression",
@@ -95,6 +97,48 @@ class CoefficientPanel:
     @property
     def width(self) -> int:
         return self.coeffs.shape[1]
+
+
+@dataclass(frozen=True)
+class SubjectStats:
+    """What every estimator reads of one subject in an m-subject study: its
+    own coefficient row and the mean row of the other m - 1 subjects.
+
+    ``donor_mean`` is None exactly when m = 1.
+    """
+
+    n: int
+    m: int
+    own: np.ndarray
+    donor_mean: np.ndarray | None
+
+    def __post_init__(self):
+        if self.m < 1:
+            raise ValueError(f"need at least 1 subject, got m={self.m}")
+        if (self.donor_mean is None) != (self.m == 1):
+            raise ValueError("donor_mean must be given exactly when m >= 2")
+        rows = {"own": self.own, "donor_mean": self.donor_mean}
+        for name, row in rows.items():
+            if row is None:
+                continue
+            row = np.array(row, dtype=float)
+            if row.ndim != 1 or row.size != np.size(self.own):
+                raise ValueError(f"{name} must be one row of {np.size(self.own)} coefficients")
+            if not np.all(np.isfinite(row)):
+                raise ValueError(f"{name} has non-finite entries")
+            row.setflags(write=False)
+            object.__setattr__(self, name, row)
+
+    @property
+    def width(self) -> int:
+        return self.own.size
+
+    @property
+    def pooled(self) -> np.ndarray:
+        """Mean row of all m subjects."""
+        if self.donor_mean is None:
+            return self.own
+        return (self.own + (self.m - 1) * self.donor_mean) / self.m
 
 
 @dataclass(frozen=True)
@@ -174,6 +218,29 @@ def sample_panel(g: FunctionSeries, cfg: ModelConfig, rng: np.random.Generator):
     # (g + e) + noise, with one m x k_max temporary fewer alive
     coeffs += g.padded(cfg.k_max) + deviations
     return deviations, CoefficientPanel(n=cfg.n, m=cfg.m, coeffs=coeffs)
+
+
+def sample_stats(g: FunctionSeries, cfg: ModelConfig, rng: np.random.Generator):
+    """Draw subject 0's statistics without the other m - 1 rows.
+
+    Subject 0 is f0 = g + e0 with e0_k ~ N(0, lambda~_k), observed as
+    ``own = f0 + n^{-1/2} Z``; the other subjects' mean row is
+    ``donor_mean = g + sqrt((lambda~_k + 1/n) / (m - 1)) Z'``.  The rows are
+    Gaussian given g, so (g, f0, own, donor_mean) has the same joint law as
+    under :func:`sample_panel`, at O(k_max) cost instead of O(m k_max).
+    Draws e0, Z, Z' in that order and returns (e0, SubjectStats).
+    """
+    if len(g) > cfg.k_max:
+        raise ValueError("population series longer than k_max")
+    base = g.padded(cfg.k_max)
+    lamt = cfg.deviation_spectrum.eigenvalues(cfg.k_max)
+    deviation0 = np.sqrt(lamt) * rng.standard_normal(cfg.k_max)
+    own = base + deviation0 + rng.standard_normal(cfg.k_max) / math.sqrt(cfg.n)
+    donor_mean = None
+    if cfg.m > 1:
+        donor_sd = np.sqrt((lamt + 1.0 / cfg.n) / (cfg.m - 1))
+        donor_mean = base + donor_sd * rng.standard_normal(cfg.k_max)
+    return deviation0, SubjectStats(cfg.n, cfg.m, own, donor_mean)
 
 
 def build_covariance(spec: Spectrum, points, terms: int) -> np.ndarray:

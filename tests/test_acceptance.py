@@ -15,7 +15,7 @@ from twolevel.basis import FunctionSeries, Spectrum, fourier_matrix
 from twolevel.dataio import SplitSpec, compare_estimators, comparison_csv, load_table
 from twolevel.estimators import (PosteriorSpec, pooled_coefficients,
                                  posterior_mean_f, posterior_mean_g,
-                                 threshold_estimate_g)
+                                 subject_stats, threshold_estimate_g)
 from twolevel.risk import (RateQuery, adaptive_f, adaptive_g, fixed_f, fixed_g,
                            posterior_f, posterior_g, rate_f, rate_g,
                            rate_gradient, run_monte_carlo, single_subject_f,
@@ -43,8 +43,9 @@ def test_criterion_1_posterior_conditioning_oracle():
                                       spec.deviation_spectrum, k_max=6)
                     g = sample_population(cfg, rng)
                     _, panel = sample_panel(g, cfg, rng)
-                    est_g = posterior_mean_g(panel, spec)
-                    est_f = [posterior_mean_f(panel, j, spec) for j in range(m)]
+                    est_g = posterior_mean_g(subject_stats(panel, 0), spec)
+                    est_f = [posterior_mean_f(subject_stats(panel, j), spec)
+                             for j in range(m)]
                     lam = spec.prior_spectrum.eigenvalues(6)
                     lamt = spec.deviation_spectrum.eigenvalues(6)
                     for k in range(6):
@@ -194,8 +195,8 @@ def test_criterion_7_parseval_quadrature_consistency():
             k = int(rng.integers(0, K))
             l = int(rng.integers(k + 1, K + 1))
             coeff_norm = float(np.sum(pooled[k:l] ** 2))
-            fk = threshold_estimate_g(panel, k)
-            fl = threshold_estimate_g(panel, l)
+            fk = threshold_estimate_g(subject_stats(panel, 0), k)
+            fl = threshold_estimate_g(subject_stats(panel, 0), l)
             diff = psi[:, :l] @ fl.padded(l) - psi[:, :l] @ fk.padded(l)
             quad = float(np.mean(diff**2))
             if quad > 0:

@@ -2,6 +2,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,15 @@ class TestStudies:
         assert (out / "heatmap_mise_g.svg").exists()
         assert (out / "heatmap_mise_f.csv").exists()
 
+    def test_study1_single_subject_names_cause_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "s1"
+        code, _, err = run(capsys, "study1", "--n", "30", "--m", "1",
+                           "--alpha", "1.0", "--replicates", "3", "--out", str(out))
+        assert code == 2
+        assert "no successful replicates for adaptive_f" in err
+        assert "need at least 2 subjects" in err
+        assert not out.exists() or not any(out.iterdir())
+
 
 @pytest.fixture
 def table_csv(tmp_path):
@@ -183,6 +193,16 @@ class TestDataCommands:
         code, _, err = run(capsys, "compare", "--data", str(table_csv),
                            "--test-a", "50", "--test-b", "0", "--test-count", "10")
         assert code == 3
+
+
+    def test_empty_train_split_is_data_error(self, capsys):
+        fixture = pathlib.Path(__file__).parent / "fixtures" / "synthetic_curves.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = run(capsys, "compare", "--data", str(fixture), "--test-a", "1",
+                               "--test-b", "0", "--test-count", "151")
+        assert code == 3
+        assert "data error" in err and "n = 151" in err
 
 
 class TestOracleCheck:

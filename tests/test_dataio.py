@@ -121,6 +121,11 @@ class TestSplit:
             merged = np.sort(np.concatenate([train.indices[j], test.indices[j]]))
             np.testing.assert_array_equal(merged, np.arange(1, 13))
 
+    def test_empty_train_rejected(self):
+        table = parse_table(make_table(n=12, m=2))
+        with pytest.raises(DataError, match="all n = 12"):
+            split(table, SplitSpec(1, 0, 12))
+
     def test_values_preserved(self):
         table = parse_table(make_table(n=12, m=2))
         train, test = split(table, SplitSpec(3, -1, 4))

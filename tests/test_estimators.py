@@ -12,7 +12,8 @@ from twolevel.estimators import (PosteriorSpec, ThresholdSelection,
                                  lepskii_thresholds_f, oracle_thresholds,
                                  pooled_coefficients, posterior_mean_f,
                                  posterior_mean_g, single_subject_estimate,
-                                 single_subject_threshold, threshold_estimate_g)
+                                 single_subject_threshold, subject_stats,
+                                 threshold_estimate_g)
 from twolevel.simulate import (CoefficientPanel, ModelConfig, sample_panel,
                                sample_population, simulate_regression, substream)
 
@@ -92,6 +93,21 @@ class TestPooling:
         np.testing.assert_allclose(pooled_coefficients(panel, exclude_subject=0),
                                    [2.5, 4.5])
 
+    def test_subject_stats_reads_the_panel(self):
+        panel = random_panel(substream(15, 0), n=20, m=6, width=16)
+        for j in range(6):
+            stats = subject_stats(panel, j)
+            np.testing.assert_array_equal(stats.own, panel.coeffs[j])
+            np.testing.assert_array_equal(stats.donor_mean,
+                                          pooled_coefficients(panel, exclude_subject=j))
+            np.testing.assert_allclose(stats.pooled, pooled_coefficients(panel),
+                                       rtol=1e-12, atol=1e-15)
+        single = subject_stats(CoefficientPanel(n=4, m=1, coeffs=[[1.0, 2.0]]), 0)
+        assert single.donor_mean is None
+        np.testing.assert_array_equal(single.pooled, [1.0, 2.0])
+        with pytest.raises(IndexError):
+            subject_stats(panel, 6)
+
     def test_loo_requires_two_subjects(self):
         panel = CoefficientPanel(n=4, m=1, coeffs=[[1.0, 2.0]])
         with pytest.raises(ValueError):
@@ -101,30 +117,30 @@ class TestPooling:
 class TestThresholdEstimators:
     def test_g_keeps_prefix(self):
         panel = CoefficientPanel(n=9, m=2, coeffs=[[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]])
-        est = threshold_estimate_g(panel, 2)
+        est = threshold_estimate_g(subject_stats(panel, 0), 2)
         np.testing.assert_allclose(est.coeffs, [2.0, 3.0])
 
     def test_g_zero_threshold(self):
         panel = CoefficientPanel(n=9, m=2, coeffs=[[1.0], [3.0]])
-        assert len(threshold_estimate_g(panel, 0)) == 0
+        assert len(threshold_estimate_g(subject_stats(panel, 0), 0)) == 0
 
     def test_double_threshold_structure(self):
         panel = CoefficientPanel(n=9, m=3,
                                  coeffs=[[1.0, 2.0, 3.0, 4.0],
                                          [5.0, 6.0, 7.0, 8.0],
                                          [9.0, 10.0, 11.0, 12.0]])
-        est = double_threshold_estimate_f(panel, 1, k1=2, k2=3)
+        est = double_threshold_estimate_f(subject_stats(panel, 1), k1=2, k2=3)
         # own coefficients up to k1, pooled-without-self on (k1, k2]
         np.testing.assert_allclose(est.coeffs, [5.0, 6.0, 7.0])
-        est0 = double_threshold_estimate_f(panel, 0, k1=1, k2=4)
+        est0 = double_threshold_estimate_f(subject_stats(panel, 0), k1=1, k2=4)
         np.testing.assert_allclose(est0.coeffs, [1.0, 8.0, 9.0, 10.0])
 
     def test_double_threshold_validates(self):
         panel = CoefficientPanel(n=9, m=2, coeffs=[[1.0, 2.0], [3.0, 4.0]])
         with pytest.raises(ValueError):
-            double_threshold_estimate_f(panel, 0, k1=2, k2=1)
+            double_threshold_estimate_f(subject_stats(panel, 0), k1=2, k2=1)
         with pytest.raises(ValueError):
-            double_threshold_estimate_f(panel, 0, k1=1, k2=3)
+            double_threshold_estimate_f(subject_stats(panel, 0), k1=1, k2=3)
 
 
 class TestLepskiiSelectors:
@@ -132,7 +148,7 @@ class TestLepskiiSelectors:
         rng = substream(12, 0)
         for trial in range(10):
             panel = random_panel(rng, n=40, m=6, width=64)
-            sel = lepskii_threshold_g(panel, tau=6.5)
+            sel = lepskii_threshold_g(subject_stats(panel, 0), tau=6.5)
             pooled_sq = pooled_coefficients(panel) ** 2
             bound = int(math.isqrt(40 * 6))
             assert sel.k1 == brute_force_min_k(pooled_sq, 6.5, 40 * 6, bound)
@@ -142,7 +158,7 @@ class TestLepskiiSelectors:
         rng = substream(13, 0)
         for trial in range(10):
             panel = random_panel(rng, n=50, m=5, width=64)
-            sel = lepskii_thresholds_f(panel, subject=2)
+            sel = lepskii_thresholds_f(subject_stats(panel, 2))
             pooled = pooled_coefficients(panel, exclude_subject=2)
             k2 = brute_force_min_k(pooled**2, 6.5, 250, int(math.isqrt(250)))
             gaps = (panel.coeffs[2] - pooled) ** 2
@@ -152,7 +168,7 @@ class TestLepskiiSelectors:
     def test_f_requires_two_subjects(self):
         panel = CoefficientPanel(n=9, m=1, coeffs=[np.ones(8)])
         with pytest.raises(ValueError):
-            lepskii_thresholds_f(panel, 0)
+            lepskii_thresholds_f(subject_stats(panel, 0))
 
     def test_single_subject_matches_brute_force(self):
         rng = substream(14, 0)
@@ -202,8 +218,8 @@ class TestPosteriorMeans:
         cfg = ModelConfig(n, m, spec.prior_spectrum, spec.deviation_spectrum, k_max=6)
         g = sample_population(cfg, rng)
         _, panel = sample_panel(g, cfg, rng)
-        est_g = posterior_mean_g(panel, spec)
-        est_f = [posterior_mean_f(panel, j, spec) for j in range(m)]
+        est_g = posterior_mean_g(subject_stats(panel, 0), spec)
+        est_f = [posterior_mean_f(subject_stats(panel, j), spec) for j in range(m)]
         for k in range(6):
             g_mean, f_means = conditioned_posterior_oracle(panel, spec, k)
             assert est_g.coeffs[k] == pytest.approx(g_mean, abs=1e-10)
@@ -213,7 +229,7 @@ class TestPosteriorMeans:
     def test_single_subject_reduces_to_shrinkage(self):
         spec = PosteriorSpec(Spectrum(0.5), Spectrum(1.0))
         panel = CoefficientPanel(n=25, m=1, coeffs=[[2.0, -1.0, 0.5]])
-        est = posterior_mean_f(panel, 0, spec)
+        est = posterior_mean_f(subject_stats(panel, 0), spec)
         for k in range(3):
             lam = spec.prior_spectrum.eigenvalue(k + 1)
             lamt = spec.deviation_spectrum.eigenvalue(k + 1)
@@ -223,7 +239,7 @@ class TestPosteriorMeans:
     def test_g_shrinks_towards_zero(self):
         spec = PosteriorSpec(Spectrum(0.5), Spectrum(0.5))
         panel = CoefficientPanel(n=10, m=3, coeffs=np.ones((3, 5)))
-        est = posterior_mean_g(panel, spec)
+        est = posterior_mean_g(subject_stats(panel, 0), spec)
         assert np.all(est.coeffs > 0)
         assert np.all(est.coeffs < 1)
         assert np.all(np.diff(est.coeffs) < 0)  # heavier shrinkage at high k

@@ -5,9 +5,10 @@ from twolevel.basis import FunctionSeries, Spectrum, fourier_eval
 from twolevel.estimators import PosteriorSpec
 from twolevel.risk import (EstimatorSpec, RateQuery, adaptive_f, adaptive_g,
                            default_eval_grid_f, default_eval_grid_g,
-                           empirical_mise, fixed_f, fixed_g, posterior_f,
-                           posterior_g, rate_f, rate_g, rate_gradient, rmspe,
-                           run_monte_carlo, single_subject_f, slope_recovery)
+                           empirical_mise, fixed_f, fixed_g, parseval_mise,
+                           posterior_f, posterior_g, rate_f, rate_g,
+                           rate_gradient, rmspe, run_monte_carlo,
+                           single_subject_f, slope_recovery)
 from twolevel.simulate import ModelConfig
 
 
@@ -30,6 +31,35 @@ class TestScores:
         cut = FunctionSeries(truth.coeffs[:5])
         assert empirical_mise(cut, truth(grid), grid) == \
             pytest.approx(float(np.sum(truth.coeffs[5:] ** 2)), rel=1e-6)
+
+    @pytest.mark.parametrize("K,grid", [
+        (1, default_eval_grid_f()), (2, default_eval_grid_f()),
+        (800, default_eval_grid_f()), (999, default_eval_grid_f()),
+        (800, default_eval_grid_g()), (2000, default_eval_grid_g()),
+    ])
+    def test_parseval_matches_quadrature(self, K, grid):
+        # the equispaced grids integrate every product of two basis functions
+        # exactly while no frequency aliases: K <= 999 on the 1000-point grid
+        rng = np.random.default_rng(K)
+        truth = FunctionSeries(rng.normal(size=K))
+        estimate = FunctionSeries(rng.normal(size=max(K // 2, 1)))
+        assert parseval_mise(estimate, truth.coeffs) == \
+            pytest.approx(empirical_mise(estimate, truth(grid), grid), rel=1e-9)
+
+    def test_quadrature_aliases_past_grid_limit(self):
+        # at K = 1000 the 1000-point grid aliases; Parseval stays the L2 risk
+        rng = np.random.default_rng(1000)
+        truth = FunctionSeries(rng.normal(size=1000))
+        grid = default_eval_grid_f()
+        zero = FunctionSeries.zero()
+        exact = parseval_mise(zero, truth.coeffs)
+        assert exact == pytest.approx(float(np.sum(truth.coeffs**2)))
+        assert abs(empirical_mise(zero, truth(grid), grid) - exact) > 1e-6 * exact
+
+    def test_parseval_pads_the_shorter_side(self):
+        est = FunctionSeries([1.0, 2.0, 3.0])
+        assert parseval_mise(est, [1.0]) == pytest.approx(13.0)
+        assert parseval_mise(FunctionSeries([1.0]), [0.0, 0.0, 2.0]) == pytest.approx(5.0)
 
     def test_rmspe_example(self):
         zero = FunctionSeries.zero()
@@ -84,14 +114,38 @@ class TestMonteCarlo:
             assert np.all(rep.mises >= 0)
 
     def test_failures_counted_not_fatal(self):
-        def broken(panel):
-            raise RuntimeError("boom")
+        def broken(stats):
+            raise ValueError("boom")
         plan = [EstimatorSpec("broken", "g", broken), adaptive_g()]
         out = run_monte_carlo(self.cfg(), plan, replicates=3, seed=0)
         assert out["broken"].failures == 3
-        with pytest.raises(ValueError):
+        assert out["broken"].first_failure == "ValueError: boom"
+        with pytest.raises(ValueError, match="first failure: ValueError: boom"):
             out["broken"].median
         assert out[plan[1].label].failures == 0
+        assert out[plan[1].label].first_failure is None
+
+    def test_programming_error_propagates(self):
+        def buggy(stats):
+            raise TypeError("not an estimator failure")
+        plan = [adaptive_g(), EstimatorSpec("buggy", "f", buggy)]
+        with pytest.raises(TypeError, match="not an estimator failure"):
+            run_monte_carlo(self.cfg(), plan, replicates=2, seed=0)
+
+    @pytest.mark.parametrize("plan", [[adaptive_g()], [adaptive_f()]])
+    def test_zero_subjects_rejected(self, plan):
+        with pytest.raises(ValueError, match="at least 1 subject"):
+            run_monte_carlo(self.cfg(m=0), plan, replicates=2, seed=0)
+
+    def test_single_subject_study(self):
+        # m = 1: the pooled rules run on the one row, the double-threshold
+        # rule fails every replicate and says why
+        out = run_monte_carlo(self.cfg(m=1), [adaptive_g(), adaptive_f()],
+                              replicates=3, seed=4)
+        assert out[adaptive_g().label].failures == 0
+        bad = out[adaptive_f().label]
+        assert bad.failures == 3
+        assert "need at least 2 subjects" in bad.first_failure
 
     def test_posterior_beats_single_subject_on_average(self):
         # with informative donors the posterior f should do clearly better

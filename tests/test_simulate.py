@@ -5,8 +5,10 @@ import pytest
 
 from twolevel.basis import FunctionSeries, Spectrum, fourier_eval, series_eval
 from twolevel.dataio import parse_table
-from twolevel.simulate import (ModelConfig, MultiSubjectTable, build_covariance,
-                               default_k_max, sample_panel, sample_population,
+from twolevel.estimators import subject_stats
+from twolevel.simulate import (ModelConfig, MultiSubjectTable, SubjectStats,
+                               build_covariance, default_k_max, sample_panel,
+                               sample_population, sample_stats,
                                simulate_regression, study1_grids, substream)
 
 
@@ -55,6 +57,55 @@ def test_sample_panel_matches_per_subject_draws(n, m, k_max):
     np.testing.assert_array_equal(panel.coeffs, rows)
     np.testing.assert_array_equal(g.padded(k_max) + deviations, subjects)
     assert (panel.n, panel.m, panel.width) == (n, m, k_max)
+
+
+def stats_draws(route, cfg, replicates, seed):
+    """(replicates, 5 k_max) rows of (g, f0, own, donor_mean, pooled) for
+    subject 0, drawn by ``sample_stats`` or by the full panel."""
+    rng = substream(seed, 0)
+    rows = np.empty((replicates, 5 * cfg.k_max))
+    for r in range(replicates):
+        g = sample_population(cfg, rng)
+        if route == "stats":
+            deviation0, stats = sample_stats(g, cfg, rng)
+        else:
+            deviations, panel = sample_panel(g, cfg, rng)
+            deviation0, stats = deviations[0], subject_stats(panel, 0)
+        rows[r] = np.concatenate([g.coeffs, g.coeffs + deviation0, stats.own,
+                                  stats.donor_mean, stats.pooled])
+    return rows
+
+
+def test_sample_stats_matches_panel_moments():
+    # sufficiency: both routes give (g, f0, own, donor_mean, pooled) the same
+    # Gaussian law; compare means and covariances within 4 standard errors
+    cfg = ModelConfig(7, 5, Spectrum(0.3), Spectrum(0.2), k_max=6)
+    R = 20000
+    fast = stats_draws("stats", cfg, R, seed=41)
+    full = stats_draws("panel", cfg, R, seed=42)
+
+    def moments(x):
+        centered = x - x.mean(axis=0)
+        cov = centered.T @ centered / R
+        cov_se = np.array([np.std(centered[:, [a]] * centered, axis=0)
+                           for a in range(x.shape[1])]) / np.sqrt(R)
+        return x.mean(axis=0), x.std(axis=0) / np.sqrt(R), cov, cov_se
+
+    mean_a, mean_se_a, cov_a, cov_se_a = moments(fast)
+    mean_b, mean_se_b, cov_b, cov_se_b = moments(full)
+    assert np.all(np.abs(mean_a - mean_b) <= 4 * np.hypot(mean_se_a, mean_se_b))
+    assert np.all(np.abs(cov_a - cov_b) <= 4 * np.hypot(cov_se_a, cov_se_b))
+
+
+def test_sample_stats_single_subject():
+    cfg = ModelConfig(9, 1, Spectrum(0.5), Spectrum(0.5), k_max=5)
+    g = sample_population(cfg, substream(8, 0))
+    deviation0, stats = sample_stats(g, cfg, substream(8, 1))
+    assert deviation0.shape == (5,)
+    assert stats.donor_mean is None
+    np.testing.assert_array_equal(stats.pooled, stats.own)
+    with pytest.raises(ValueError, match="exactly when"):
+        SubjectStats(9, 2, stats.own, None)
 
 
 class TestSampleSubjects:
