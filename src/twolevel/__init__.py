@@ -11,6 +11,7 @@ from .simulate import (CoefficientPanel, ModelConfig, SubjectStats,
                        substream)
 from .estimators import (PosteriorSpec, ThresholdSelection,
                          double_threshold_estimate_f, empirical_coefficients,
+                         leave_one_out_means, lepskii_min_k,
                          lepskii_threshold_g, lepskii_thresholds_f,
                          oracle_thresholds, pooled_coefficients,
                          posterior_mean_f, posterior_mean_g,
@@ -20,5 +21,5 @@ from .risk import (RateQuery, RiskReport, empirical_mise, rate_f, rate_g,
                    rate_gradient, rmspe, run_monte_carlo, slope_recovery)
 from .design import (DesignGrid, DesignPoint, emit_gradient_map, emit_heatmap,
                      enumerate_designs, recommend_design)
-from .dataio import (MultiSubjectTable, SplitSpec, compare_estimators,
-                     load_table, parse_table, split)
+from .dataio import (DataWarning, MultiSubjectTable, SplitSpec,
+                     compare_estimators, load_table, parse_table, split)

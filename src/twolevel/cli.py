@@ -12,13 +12,14 @@ import argparse
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
 from . import __version__
 from .basis import Spectrum
-from .dataio import (DataError, SplitSpec, compare_estimators, comparison_csv,
-                     load_table)
+from .dataio import (DataError, DataWarning, SplitSpec, compare_estimators,
+                     comparison_csv, load_table)
 from .design import emit_gradient_map, emit_heatmap, enumerate_designs
 from .estimators import (PosteriorSpec, lepskii_thresholds_f, oracle_thresholds,
                          subject_stats)
@@ -215,10 +216,17 @@ def _cmd_study2(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    table = load_table(args.data)
     spec = SplitSpec(args.test_a, args.test_b, args.test_count)
-    results = compare_estimators(table, spec, tau1=args.tau1, tau2=args.tau2,
-                                 tau_single=args.tau_single)
+    # rescaled times and aliased coefficients are reported, not fatal
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", DataWarning)
+        try:
+            table = load_table(args.data)
+            results = compare_estimators(table, spec, tau1=args.tau1, tau2=args.tau2,
+                                         tau_single=args.tau_single)
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
     content = comparison_csv(results)
     wins = sum(1 for _, rs, rd in results if rd < rs)
     if args.out:

@@ -10,18 +10,19 @@ outside the unit interval.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
-from .estimators import (double_threshold_estimate_f, empirical_coefficients,
-                         lepskii_thresholds_f, single_subject_estimate,
-                         subject_stats)
-from .risk import rmspe
+from .basis import fourier_matrix
+from .estimators import empirical_coefficients, leave_one_out_means, lepskii_min_k
 from .simulate import MultiSubjectTable
 
 __all__ = [
     "DataError",
+    "DataWarning",
     "MultiSubjectTable",
     "SplitSpec",
     "load_table",
@@ -36,16 +37,100 @@ class DataError(ValueError):
     """Malformed input data; the message names the offending rows."""
 
 
+class DataWarning(UserWarning):
+    """Input data that was processed, but not as it came: times rescaled to
+    [0, 1], or more coefficients fitted than the grid resolves."""
+
+
+HEADER = "subject,i,t,y"
+# Data lines converted per block: bounds the field strings held at once.
+BLOCK_LINES = 8192
+
+
 def parse_table(text: str) -> MultiSubjectTable:
-    """Parse and validate a ``subject,i,t,y`` CSV; see :func:`load_table`."""
+    """Parse and validate a ``subject,i,t,y`` CSV; see :func:`load_table`.
+
+    Valid tables take a block-vectorised route; any input it rejects is
+    parsed again line by line, which raises the error of the first bad line
+    or subject.  Warns (:class:`DataWarning`) when it rescales the times.
+    """
     lines = text.splitlines()
+    body = list(compress(lines, map(str.strip, lines)))
+    if "#" in text:
+        body = [ln for ln in body if not ln.startswith("#")]
+    parsed = None
+    if body and body[0].strip() == HEADER:
+        parsed = _parse_blocks(body[1:])
+    ids, indices, times, values = parsed or _parse_lines(lines)
+    rescaled = bool(times.min() < 0.0 or times.max() > 1.0)
+    if rescaled:
+        lo, hi = times.min(), times.max()
+        times = (times - lo) / (hi - lo)
+    try:
+        table = MultiSubjectTable(ids, tuple(indices), tuple(times), tuple(values),
+                                  rescaled=rescaled)
+    except ValueError as err:
+        # rescaling can merge times that were distinct but far from [0, 1]
+        raise DataError(f"after rescaling t to [0, 1]: {err}") from None
+    if rescaled:
+        warnings.warn(f"t rescaled to [0, 1] from [{float(lo)!r}, {float(hi)!r}]",
+                      DataWarning, stacklevel=2)
+    return table
+
+
+def _parse_blocks(rows: list[str]):
+    """(subject ids, then indices, times and values as (m, n) arrays in
+    subject order) of the data lines, or None if any line or subject is
+    invalid."""
+    count = len(rows)
+    codes = np.empty(count, dtype=np.intp)
+    idx = np.empty(count, dtype=np.int64)
+    t = np.empty(count)
+    y = np.empty(count)
+    ids: dict[str, int] = {}
+    for start in range(0, count, BLOCK_LINES):
+        block = rows[start:start + BLOCK_LINES]
+        size = len(block)
+        # Joined by ",\n,", lines of 4 columns each put their fields at 5j..5j+3
+        # and the size - 1 separator fields "\n" at 5j+4; no line holds a "\n",
+        # so the separators sit there only if every line has 4 columns.
+        fields = ",\n,".join(block).split(",")
+        if len(fields) != 5 * size - 1 or fields[4::5].count("\n") != size - 1:
+            return None
+        stop = start + size
+        codes[start:stop] = [ids.setdefault(sid, len(ids))
+                             for sid in map(str.strip, fields[0::5])]
+        try:
+            idx[start:stop] = np.fromiter(map(int, fields[1::5]), np.int64, size)
+            t[start:stop] = np.fromiter(map(float, fields[2::5]), float, size)
+            y[start:stop] = np.fromiter(map(float, fields[3::5]), float, size)
+        except (ValueError, OverflowError):
+            return None
+    if not (np.isfinite(t).all() and np.isfinite(y).all()):
+        return None
+    m = len(ids)
+    counts = np.bincount(codes, minlength=m)
+    if m == 0 or np.any(counts != counts[0]):
+        return None
+    n = int(counts[0])
+    order = np.lexsort((idx, codes))
+    idx = idx[order].reshape(m, n)
+    t = t[order].reshape(m, n)
+    if np.any(idx != np.arange(1, n + 1)) or np.any(np.diff(t, axis=1) <= 0):
+        return None
+    return tuple(ids), idx, t, y[order].reshape(m, n)
+
+
+def _parse_lines(lines: list[str]):
+    """Line-by-line reference route of :func:`parse_table`: raises the
+    DataError of the first bad line, or of the first bad subject."""
     body = [(no, ln) for no, ln in enumerate(lines, start=1)
             if ln.strip() and not ln.startswith("#")]
     if not body:
         raise DataError("empty table")
     header_no, header = body[0]
-    if header.strip() != "subject,i,t,y":
-        raise DataError(f"line {header_no}: expected header 'subject,i,t,y', got {header!r}")
+    if header.strip() != HEADER:
+        raise DataError(f"line {header_no}: expected header '{HEADER}', got {header!r}")
     rows: dict[str, list] = {}
     for no, ln in body[1:]:
         parts = ln.split(",")
@@ -82,19 +167,7 @@ def parse_table(text: str) -> MultiSubjectTable:
         indices.append(idx)
         times.append(t)
         values.append(np.array([r[3] for r in recs]))
-
-    all_t = np.concatenate(times)
-    rescaled = False
-    if all_t.min() < 0.0 or all_t.max() > 1.0:
-        lo, hi = all_t.min(), all_t.max()
-        times = [(t - lo) / (hi - lo) for t in times]
-        rescaled = True
-    try:
-        return MultiSubjectTable(tuple(rows.keys()), tuple(indices), tuple(times),
-                                 tuple(values), rescaled=rescaled)
-    except ValueError as err:
-        # rescaling can merge times that were distinct but far from [0, 1]
-        raise DataError(f"after rescaling t to [0, 1]: {err}") from None
+    return tuple(rows), np.array(indices), np.array(times), np.array(values)
 
 
 def load_table(path) -> MultiSubjectTable:
@@ -122,22 +195,21 @@ class SplitSpec:
 
 def split(table: MultiSubjectTable, spec: SplitSpec):
     """Partition every subject's indices into (train table, test table)."""
-    test_idx = set(spec.test_indices(table.n).tolist())
-    if len(test_idx) == table.n:
+    test_idx = spec.test_indices(table.n)
+    if len(set(test_idx.tolist())) == table.n:
         raise DataError(f"test indices cover all n = {table.n} time indices; "
                         f"no training data left")
+    held_out = [np.isin(idx, test_idx) for idx in table.indices]
 
-    def take(keep):
-        mask_list, idx, t, y = [], [], [], []
-        for j in range(table.m):
-            mask = np.array([keep(i) for i in table.indices[j]])
-            idx.append(table.indices[j][mask])
-            t.append(table.times[j][mask])
-            y.append(table.values[j][mask])
-        return MultiSubjectTable(table.subject_ids, tuple(idx), tuple(t), tuple(y),
-                                 rescaled=table.rescaled)
+    def take(masks):
+        return MultiSubjectTable(
+            table.subject_ids,
+            tuple(idx[k] for idx, k in zip(table.indices, masks)),
+            tuple(t[k] for t, k in zip(table.times, masks)),
+            tuple(y[k] for y, k in zip(table.values, masks)),
+            rescaled=table.rescaled)
 
-    return take(lambda i: i not in test_idx), take(lambda i: i in test_idx)
+    return take([~k for k in held_out]), take(held_out)
 
 
 def compare_estimators(table: MultiSubjectTable, spec: SplitSpec,
@@ -146,24 +218,53 @@ def compare_estimators(table: MultiSubjectTable, spec: SplitSpec,
     """Per-subject RMSPE of the single-subject estimator versus the adaptive
     double-thresholding estimator, scored on the held-out indices.
 
+    Every subject's thresholds are selected at once, from the panel, its
+    leave-one-out means and their gaps.  Warns (:class:`DataWarning`) when
+    the fit width exceeds half the training grid, so that the coefficients
+    are aliased.
+
     Returns a list of (subject_id, rmspe_single, rmspe_double) triples.
     """
     if table.m < 2:
         raise DataError("comparison needs at least 2 subjects")
     train, test = split(table, spec)
-    n_train = train.n
-    width = max(math.isqrt(n_train * train.m), math.isqrt(n_train), 1)
+    n, m = train.n, train.m
+    width = max(math.isqrt(n * m), math.isqrt(n), 1)
     panel = empirical_coefficients(train, width)
+    if denominator not in ("nm", "n"):
+        raise ValueError(f"unknown denominator choice {denominator!r}")
+    if tau1 <= 0 or tau2 <= 0:
+        raise ValueError("tau values must be positive")
+    if any(t.size == 0 for t in test.times):
+        raise ValueError("test set must be nonempty")
+    if panel.aliased:
+        warnings.warn(f"fit width {width} exceeds n/2 = {n / 2:g} training points per "
+                      f"subject; coefficients are aliased", DataWarning, stacklevel=2)
+    own = panel.coeffs
+    donors = leave_one_out_means(panel)
+    k_single = lepskii_min_k(own**2, tau_single, n * m if denominator == "nm" else n,
+                             math.isqrt(n))
+    k1 = lepskii_min_k((own - donors) ** 2, tau1, n, math.isqrt(n))
+    k2 = np.maximum(k1, lepskii_min_k(donors**2, tau2, n * m, math.isqrt(n * m)))
     results = []
+    grid_of_psi = None
     for j, sid in enumerate(table.subject_ids):
-        stats = subject_stats(panel, j)
-        single = single_subject_estimate(stats.own, n_train, train.m,
-                                         tau=tau_single, denominator=denominator)
-        sel = lepskii_thresholds_f(stats, tau1=tau1, tau2=tau2)
-        double = double_threshold_estimate_f(stats, sel.k1, sel.k2)
         t_test, y_test = test.times[j], test.values[j]
-        results.append((sid, rmspe(single, t_test, y_test), rmspe(double, t_test, y_test)))
+        if grid_of_psi is None or not np.array_equal(t_test, grid_of_psi):
+            psi, grid_of_psi = fourier_matrix(t_test, width), t_test
+        single = own[j, :k_single[j]]
+        double = np.concatenate([own[j, :k1[j]], donors[j, k1[j]:k2[j]]])
+        if not np.all(np.isfinite(double)):  # a leave-one-out sum can overflow
+            raise ValueError("coeffs must be finite")
+        results.append((sid, _rmse(psi[:, :single.size] @ single, y_test),
+                        _rmse(psi[:, :double.size] @ double, y_test)))
     return results
+
+
+def _rmse(prediction: np.ndarray, y: np.ndarray) -> float:
+    # the arithmetic of risk.rmspe
+    diff = prediction - y
+    return float(np.sqrt(np.mean(diff**2)))
 
 
 def comparison_csv(results) -> str:

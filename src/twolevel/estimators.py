@@ -22,7 +22,9 @@ __all__ = [
     "empirical_coefficients",
     "pooled_coefficients",
     "subject_stats",
+    "leave_one_out_means",
     "threshold_estimate_g",
+    "lepskii_min_k",
     "lepskii_threshold_g",
     "double_threshold_estimate_f",
     "lepskii_thresholds_f",
@@ -83,6 +85,8 @@ def empirical_coefficients(table: MultiSubjectTable, width: int,
     ``normalize=False`` for the raw, unnormalized inner product.
 
     The panel is flagged as aliased when ``width`` exceeds half the grid size.
+    The design matrix is rebuilt only where a subject's grid differs from the
+    previous subject's.
     """
     if width < 1:
         raise ValueError("width must be >= 1")
@@ -91,8 +95,10 @@ def empirical_coefficients(table: MultiSubjectTable, width: int,
         raise ValueError("subjects must share a common grid size")
     n_obs = lengths.pop()
     rows = np.empty((table.m, width))
+    grid_of_psi = None
     for j, (grid, y) in enumerate(zip(table.times, table.values)):
-        psi = fourier_matrix(grid, width)
+        if grid_of_psi is None or not np.array_equal(grid, grid_of_psi):
+            psi, grid_of_psi = fourier_matrix(grid, width), grid
         rows[j] = psi.T @ y
         if normalize:
             rows[j] /= n_obs
@@ -125,6 +131,25 @@ def subject_stats(panel: CoefficientPanel, subject: int) -> SubjectStats:
     return SubjectStats(panel.n, panel.m, panel.coeffs[subject], donor_mean)
 
 
+def leave_one_out_means(panel: CoefficientPanel) -> np.ndarray:
+    """Row j is the mean of every panel row but row j, for all j at once.
+
+    Bit for bit equal to ``pooled_coefficients(panel, exclude_subject=j)``:
+    each row adds the other rows in index order, as numpy's axis-0 sum does,
+    which ``(colsum - row) / (m - 1)`` would not.  Costs m^2 K / 2 adds.
+    """
+    if panel.m < 2:
+        raise ValueError("leave-one-out pooling needs at least 2 subjects")
+    c = panel.coeffs
+    out = np.empty_like(c)
+    out[0] = c[1]
+    np.cumsum(c[:-1], axis=0, out=out[1:])
+    for i in range(2, panel.m):
+        out[:i] += c[i]
+    out /= panel.m - 1
+    return out
+
+
 def threshold_estimate_g(stats: SubjectStats, K: int) -> FunctionSeries:
     """Pooled series estimator keeping the first K coefficients."""
     if K < 0 or K > stats.width:
@@ -134,24 +159,27 @@ def threshold_estimate_g(stats: SubjectStats, K: int) -> FunctionSeries:
     return FunctionSeries(stats.pooled[:K])
 
 
-def _lepskii_min_k(sq_terms: np.ndarray, tau: float, denom: float, bound: int) -> int:
-    """Smallest k in 1..bound with sum_{i=k+1..l} sq_terms[i] <= tau*l/denom
-    for every l in (k, bound].
+def lepskii_min_k(sq_terms: np.ndarray, tau: float, denom: float, bound: int):
+    """Smallest k in 1..bound with sum_{i=k+1..l} sq_terms[..., i] <= tau*l/denom
+    for every l in (k, bound], along the last axis.
 
-    ``sq_terms[i-1]`` holds the i-th squared coefficient term.  k = bound
-    always qualifies (the condition set is empty there).
+    ``sq_terms[..., i-1]`` holds the i-th squared coefficient term.  k = bound
+    always qualifies (the condition set is empty there).  A 1-D input gives an
+    int; a (rows, K) input gives one k per row.
     """
     if bound < 1:
         raise ValueError("search bound must be >= 1")
-    partial = np.concatenate([[0.0], np.cumsum(sq_terms[:bound])])
-    slack = partial[1:] - tau * np.arange(1, bound + 1) / denom
-    # suffix_max[k-1] = max over l in (k, bound] of slack[l-1]; the defining
-    # condition for k is suffix_max[k-1] <= partial[k].
-    suffix_max = np.full(bound, -np.inf)
-    if bound > 1:
-        suffix_max[: bound - 1] = np.maximum.accumulate(slack[::-1])[::-1][1:]
-    ok = np.nonzero(suffix_max <= partial[1:])[0]
-    return int(ok[0]) + 1 if ok.size else bound
+    if bound == 1:
+        return 1 if sq_terms.ndim == 1 else np.ones(sq_terms.shape[0], dtype=int)
+    partial = np.cumsum(sq_terms[..., :bound], axis=-1)
+    slack = partial - tau * np.arange(1, bound + 1) / denom
+    # ok[..., k-1] for k < bound: max over l in (k, bound] of slack[..., l-1]
+    # is at most partial[..., k-1], the sum of the first k terms.
+    ok = np.maximum.accumulate(slack[..., :0:-1], axis=-1)[..., ::-1] <= partial[..., :-1]
+    first = ok.argmax(axis=-1)
+    if ok.ndim == 1:
+        return int(first) + 1 if ok[first] else bound
+    return np.where(ok.any(axis=-1), first + 1, bound)
 
 
 def lepskii_threshold_g(stats: SubjectStats, tau: float = 6.5) -> ThresholdSelection:
@@ -166,7 +194,7 @@ def lepskii_threshold_g(stats: SubjectStats, tau: float = 6.5) -> ThresholdSelec
     bound = int(math.isqrt(stats.n * stats.m))
     if bound > stats.width:
         raise ValueError(f"panel too narrow for search bound {bound}")
-    k = _lepskii_min_k(stats.pooled**2, tau, stats.n * stats.m, bound)
+    k = lepskii_min_k(stats.pooled**2, tau, stats.n * stats.m, bound)
     return ThresholdSelection("g_single_threshold", k, k, tau, tau, bound)
 
 
@@ -207,9 +235,9 @@ def lepskii_thresholds_f(stats: SubjectStats, tau1: float = 4.5,
     bound1 = int(math.isqrt(n))
     if bound2 > stats.width:
         raise ValueError(f"panel too narrow for search bound {bound2}")
-    k2 = _lepskii_min_k(stats.donor_mean**2, tau2, n * m, bound2)
+    k2 = lepskii_min_k(stats.donor_mean**2, tau2, n * m, bound2)
     gaps_sq = (stats.own - stats.donor_mean) ** 2
-    k1 = _lepskii_min_k(gaps_sq, tau1, n, bound1)
+    k1 = lepskii_min_k(gaps_sq, tau1, n, bound1)
     return ThresholdSelection("f_double_threshold", k1, max(k1, k2), tau1, tau2, bound2)
 
 
@@ -227,7 +255,7 @@ def single_subject_threshold(row: np.ndarray, n: int, m: int, tau: float = 2.0,
     bound = int(math.isqrt(n))
     if bound > row.size:
         raise ValueError(f"row too short for search bound {bound}")
-    k = _lepskii_min_k(row**2, tau, denom, bound)
+    k = lepskii_min_k(row**2, tau, denom, bound)
     return ThresholdSelection("g_single_threshold", k, k, tau, tau, bound)
 
 

@@ -205,6 +205,39 @@ class TestDataCommands:
         assert "data error" in err and "n = 151" in err
 
 
+    def test_compare_fixture_prints_no_warning(self, capsys):
+        fixture = pathlib.Path(__file__).parent / "fixtures" / "synthetic_curves.csv"
+        code, _, err = run(capsys, "compare", "--data", str(fixture))
+        assert code == 0
+        assert err == ""
+
+    def test_compare_warns_rescaled_times(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        lines = ["subject,i,t,y"] + [f"s{j},{i},{2.0 * i!r},{float(rng.normal())!r}"
+                                     for j in range(3) for i in range(1, 13)]
+        data = tmp_path / "shifted.csv"
+        data.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "compare", "--data", str(data), "--test-count", "4",
+                           "--out", str(tmp_path / "cmp" / "rmspe.csv"))
+        assert code == 0
+        assert err == "warning: t rescaled to [0, 1] from [2.0, 24.0]\n"
+        for name in ("rmspe.csv", "manifest.txt"):
+            assert "warning" not in (tmp_path / "cmp" / name).read_text()
+
+    def test_compare_warns_aliased_coefficients(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        lines = ["subject,i,t,y"] + [f"s{j},{i + 1},{i / 20!r},{float(rng.normal())!r}"
+                                     for j in range(40) for i in range(21)]
+        data = tmp_path / "coarse.csv"
+        data.write_text("\n".join(lines) + "\n")
+        code, out, err = run(capsys, "compare", "--data", str(data), "--test-a", "4",
+                             "--test-b", "0", "--test-count", "5")
+        assert code == 0
+        assert err == ("warning: fit width 25 exceeds n/2 = 8 training points per subject; "
+                       "coefficients are aliased\n")
+        assert out.startswith("subject,rmspe_single,rmspe_double,diff\n")
+
+
 class TestOracleCheck:
     def test_prints_all_four(self, capsys):
         code, out, _ = run(capsys, "oracle-check", "--n", "100", "--m", "10",

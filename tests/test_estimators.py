@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from twolevel.basis import FunctionSeries, Spectrum
 from twolevel.estimators import (PosteriorSpec, ThresholdSelection,
-                                 _lepskii_min_k, double_threshold_estimate_f,
-                                 empirical_coefficients, lepskii_threshold_g,
+                                 double_threshold_estimate_f,
+                                 empirical_coefficients, leave_one_out_means,
+                                 lepskii_min_k, lepskii_threshold_g,
                                  lepskii_thresholds_f, oracle_thresholds,
                                  pooled_coefficients, posterior_mean_f,
                                  posterior_mean_g, single_subject_estimate,
@@ -35,16 +37,16 @@ def random_panel(rng, n, m, width):
 
 class TestLepskiiCore:
     def test_all_zero_picks_one(self):
-        assert _lepskii_min_k(np.zeros(30), 6.5, 100.0, 30) == 1
+        assert lepskii_min_k(np.zeros(30), 6.5, 100.0, 30) == 1
 
     def test_single_spike(self):
         sq = np.zeros(30)
         sq[4] = 100.0  # k = 5 term; any k < 5 fails at l = 5
-        assert _lepskii_min_k(sq, 6.5, 100.0, 30) == 5
+        assert lepskii_min_k(sq, 6.5, 100.0, 30) == 5
 
     def test_bound_always_feasible(self):
         sq = np.full(10, 1e6)
-        assert _lepskii_min_k(sq, 1.0, 1e9, 10) == 10
+        assert lepskii_min_k(sq, 1.0, 1e9, 10) == 10
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(0, 50), min_size=1, max_size=40),
@@ -52,8 +54,18 @@ class TestLepskiiCore:
     def test_matches_brute_force(self, sq, tau, denom):
         sq = np.array(sq)
         bound = sq.size
-        assert _lepskii_min_k(sq, tau, denom, bound) == \
+        assert lepskii_min_k(sq, tau, denom, bound) == \
             brute_force_min_k(sq, tau, denom, bound)
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 30)),
+                  elements=st.floats(0, 50)),
+           st.floats(0.1, 10), st.floats(1, 1e4), st.data())
+    def test_batched_rows_match_brute_force(self, sq, tau, denom, data):
+        width = sq.shape[1]
+        for bound in (1, data.draw(st.integers(1, width)), width):
+            ks = lepskii_min_k(sq, tau, denom, bound)
+            assert ks.tolist() == [brute_force_min_k(row, tau, denom, bound) for row in sq]
 
 
 class TestEmpiricalCoefficients:
@@ -108,10 +120,20 @@ class TestPooling:
         with pytest.raises(IndexError):
             subject_stats(panel, 6)
 
+    @pytest.mark.parametrize("m", [2, 3, 20, 257])
+    def test_leave_one_out_means_match_reference(self, m):
+        panel = random_panel(substream(16, m), n=20, m=m, width=24)
+        loo = leave_one_out_means(panel)
+        assert loo.shape == (m, 24)
+        for j in range(m):
+            np.testing.assert_array_equal(loo[j], pooled_coefficients(panel, exclude_subject=j))
+
     def test_loo_requires_two_subjects(self):
         panel = CoefficientPanel(n=4, m=1, coeffs=[[1.0, 2.0]])
         with pytest.raises(ValueError):
             pooled_coefficients(panel, exclude_subject=0)
+        with pytest.raises(ValueError):
+            leave_one_out_means(panel)
 
 
 class TestThresholdEstimators:
