@@ -21,7 +21,6 @@ __all__ = [
     "Spectrum",
     "FunctionSeries",
     "SobolevBall",
-    "fourier_eval",
     "fourier_matrix",
     "series_eval",
     "sobolev_norm_sq",
@@ -72,20 +71,6 @@ class Spectrum:
         if after < 1:
             return self.eigenvalue(1) + self.tail_sum(1)
         return self.scale * float(after) ** (-2.0 * self.decay) / (2.0 * self.decay)
-
-
-def fourier_eval(k: int, t):
-    """Evaluate the k-th Fourier basis function at points ``t`` in [0, 1]."""
-    if k < 1:
-        raise ValueError(f"basis index must be >= 1, got {k}")
-    t = np.asarray(t, dtype=float)
-    if k == 1:
-        out = np.ones_like(t)
-    elif k % 2 == 0:
-        out = np.sqrt(2.0) * np.cos(2.0 * np.pi * (k // 2) * t)
-    else:
-        out = np.sqrt(2.0) * np.sin(2.0 * np.pi * (k // 2) * t)
-    return out if out.ndim else float(out)
 
 
 def fourier_matrix(grid, width: int) -> np.ndarray:

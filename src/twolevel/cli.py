@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,10 +22,9 @@ from .basis import Spectrum
 from .dataio import (DataError, DataWarning, SplitSpec, compare_estimators,
                      comparison_csv, load_table)
 from .design import emit_gradient_map, emit_heatmap, enumerate_designs
-from .estimators import (PosteriorSpec, lepskii_thresholds_f, oracle_thresholds,
-                         subject_stats)
-from .risk import (RateQuery, adaptive_f, adaptive_g, fixed_g, posterior_f,
-                   posterior_g, rate_f, rate_g, run_monte_carlo, single_subject_f)
+from .estimators import lepskii_thresholds_f, oracle_thresholds, subject_stats
+from .risk import (RateQuery, adaptive_f, adaptive_g, fixed_g, fixed_g_threshold,
+                   rate_f, rate_g, run_monte_carlo, single_subject_f)
 from .simulate import (ModelConfig, sample_panel, sample_population,
                        simulate_regression, substream)
 
@@ -33,24 +33,6 @@ __all__ = ["cli_dispatch", "main"]
 
 class ConfigError(ValueError):
     pass
-
-
-def parse_config_file(path) -> dict:
-    """Read a line-oriented ``key = value`` config file ('#' comments)."""
-    out = {}
-    try:
-        with open(path) as fh:
-            for no, ln in enumerate(fh, start=1):
-                ln = ln.split("#", 1)[0].strip()
-                if not ln:
-                    continue
-                if "=" not in ln:
-                    raise ConfigError(f"{path}:{no}: expected 'key = value'")
-                key, value = (part.strip() for part in ln.split("=", 1))
-                out[key] = value
-    except OSError as err:
-        raise ConfigError(str(err)) from None
-    return out
 
 
 def _header_lines(config: dict) -> list[str]:
@@ -144,9 +126,13 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+# smoothness guesses of the fixed-threshold g estimators in the study1 plan
+FIXED_G_BETAS = (0.2, 0.5, 2.0)
+
+
 def _default_plan(args):
     plan = [adaptive_g(args.tau)]
-    plan += [fixed_g(beta) for beta in (0.2, 0.5, 2.0)]
+    plan += [fixed_g(beta) for beta in FIXED_G_BETAS]
     plan += [adaptive_f(args.tau1, args.tau2), single_subject_f()]
     return plan
 
@@ -172,6 +158,13 @@ def _run_reports(cfg, plan, args, out_dir, command):
 def _cmd_study1(args) -> int:
     prior, deviation = _spectra(args)
     cfg = ModelConfig(args.n, args.m, prior, deviation, k_max=args.k_max)
+    # the plan's widest fixed threshold must fit in k_max; checked before sampling
+    widest, beta = max((fixed_g_threshold(cfg.n, cfg.m, beta), beta) for beta in FIXED_G_BETAS)
+    if args.k_max == 0:
+        cfg = replace(cfg, k_max=max(cfg.k_max, widest))
+    elif cfg.k_max < widest:
+        raise ConfigError(f"k_max = {cfg.k_max} is below the widest fixed threshold: "
+                          f"fixed_g_beta{beta:g} keeps {widest} coefficients")
     _run_reports(cfg, _default_plan(args), args, args.out, "study1")
     print(f"wrote reports to {args.out}")
     return 0
@@ -252,8 +245,8 @@ def _cmd_oracle_check(args) -> int:
     g = sample_population(cfg, rng)
     k1_star, k2_star = oracle_thresholds(g, deviation, cfg.n, cfg.m)
     _, panel = sample_panel(g, cfg, rng)
-    sel = lepskii_thresholds_f(subject_stats(panel, 0), tau1=args.tau1, tau2=args.tau2)
-    print(f"oracle k1*={k1_star} k2*={k2_star} adaptive k1={sel.k1} k2={sel.k2}")
+    k1, k2 = lepskii_thresholds_f(subject_stats(panel, 0), tau1=args.tau1, tau2=args.tau2)
+    print(f"oracle k1*={k1_star} k2*={k2_star} adaptive k1={k1} k2={k2}")
     return 0
 
 

@@ -17,8 +17,9 @@ from itertools import compress
 import numpy as np
 
 from .basis import fourier_matrix
-from .estimators import empirical_coefficients, leave_one_out_means, lepskii_min_k
-from .simulate import MultiSubjectTable
+from .estimators import (empirical_coefficients, leave_one_out_means,
+                         lepskii_thresholds_f, single_subject_threshold)
+from .simulate import MultiSubjectTable, SubjectStats
 
 __all__ = [
     "DataError",
@@ -62,9 +63,11 @@ def parse_table(text: str) -> MultiSubjectTable:
     if body and body[0].strip() == HEADER:
         parsed = _parse_blocks(body[1:])
     ids, indices, times, values = parsed or _parse_lines(lines)
-    rescaled = bool(times.min() < 0.0 or times.max() > 1.0)
+    lo, hi = times.min(), times.max()
+    rescaled = bool(lo < 0.0 or hi > 1.0)
     if rescaled:
-        lo, hi = times.min(), times.max()
+        if hi == lo:
+            raise DataError(f"every t is {float(lo)!r}; cannot rescale t to [0, 1]")
         times = (times - lo) / (hi - lo)
     try:
         table = MultiSubjectTable(ids, tuple(indices), tuple(times), tuple(values),
@@ -213,15 +216,13 @@ def split(table: MultiSubjectTable, spec: SplitSpec):
 
 
 def compare_estimators(table: MultiSubjectTable, spec: SplitSpec,
-                       tau1: float = 4.5, tau2: float = 6.5,
-                       tau_single: float = 2.0, denominator: str = "nm"):
+                       tau1: float = 4.5, tau2: float = 6.5, tau_single: float = 2.0):
     """Per-subject RMSPE of the single-subject estimator versus the adaptive
     double-thresholding estimator, scored on the held-out indices.
 
-    Every subject's thresholds are selected at once, from the panel, its
-    leave-one-out means and their gaps.  Warns (:class:`DataWarning`) when
-    the fit width exceeds half the training grid, so that the coefficients
-    are aliased.
+    Every subject's thresholds are selected at once, on the stack of all
+    subjects' statistics.  Warns (:class:`DataWarning`) when the fit width
+    exceeds half the training grid, so that the coefficients are aliased.
 
     Returns a list of (subject_id, rmspe_single, rmspe_double) triples.
     """
@@ -230,32 +231,27 @@ def compare_estimators(table: MultiSubjectTable, spec: SplitSpec,
     train, test = split(table, spec)
     n, m = train.n, train.m
     width = max(math.isqrt(n * m), math.isqrt(n), 1)
-    panel = empirical_coefficients(train, width)
-    if denominator not in ("nm", "n"):
-        raise ValueError(f"unknown denominator choice {denominator!r}")
-    if tau1 <= 0 or tau2 <= 0:
-        raise ValueError("tau values must be positive")
+    try:
+        panel = empirical_coefficients(train, width)
+        stats = SubjectStats(n, m, panel.coeffs, leave_one_out_means(panel))
+    except ValueError as err:
+        # finite y values can still overflow the coefficient or leave-one-out sums
+        raise DataError(f"cannot fit the training data: {err}") from None
     if any(t.size == 0 for t in test.times):
         raise ValueError("test set must be nonempty")
     if panel.aliased:
         warnings.warn(f"fit width {width} exceeds n/2 = {n / 2:g} training points per "
                       f"subject; coefficients are aliased", DataWarning, stacklevel=2)
-    own = panel.coeffs
-    donors = leave_one_out_means(panel)
-    k_single = lepskii_min_k(own**2, tau_single, n * m if denominator == "nm" else n,
-                             math.isqrt(n))
-    k1 = lepskii_min_k((own - donors) ** 2, tau1, n, math.isqrt(n))
-    k2 = np.maximum(k1, lepskii_min_k(donors**2, tau2, n * m, math.isqrt(n * m)))
+    k_single = single_subject_threshold(stats, tau_single)
+    k1, k2 = lepskii_thresholds_f(stats, tau1, tau2)
     results = []
     grid_of_psi = None
     for j, sid in enumerate(table.subject_ids):
         t_test, y_test = test.times[j], test.values[j]
         if grid_of_psi is None or not np.array_equal(t_test, grid_of_psi):
             psi, grid_of_psi = fourier_matrix(t_test, width), t_test
-        single = own[j, :k_single[j]]
-        double = np.concatenate([own[j, :k1[j]], donors[j, k1[j]:k2[j]]])
-        if not np.all(np.isfinite(double)):  # a leave-one-out sum can overflow
-            raise ValueError("coeffs must be finite")
+        single = stats.own[j, :k_single[j]]
+        double = np.concatenate([stats.own[j, :k1[j]], stats.donor_mean[j, k1[j]:k2[j]]])
         results.append((sid, _rmse(psi[:, :single.size] @ single, y_test),
                         _rmse(psi[:, :double.size] @ double, y_test)))
     return results

@@ -20,7 +20,6 @@ __all__ = [
     "DesignPoint",
     "DesignGrid",
     "enumerate_designs",
-    "recommend_design",
     "emit_gradient_map",
     "emit_heatmap",
 ]
@@ -105,28 +104,6 @@ def enumerate_designs(budget: float, alpha: float, alpha_tilde: float,
     if not points:
         raise ValueError("budget admits no feasible design")
     return DesignGrid(tuple(points), budget, mode, cost_n, cost_m, alpha, alpha_tilde)
-
-
-def recommend_design(grid: DesignGrid, objective="g", weight: float | None = None) -> DesignPoint:
-    """Argmin of the chosen rate objective over the grid.
-
-    ``objective`` is "g", "f", or "weighted" with ``weight`` w giving
-    ``w * rate_g + (1 - w) * rate_f``.  Ties break toward smaller m, then
-    smaller n.
-    """
-    if len(grid) == 0:
-        raise ValueError("empty design grid")
-    if objective == "g":
-        score = lambda p: p.rate_g
-    elif objective == "f":
-        score = lambda p: p.rate_f
-    elif objective == "weighted":
-        if weight is None or not 0.0 <= weight <= 1.0:
-            raise ValueError("weighted objective needs weight in [0, 1]")
-        score = lambda p: weight * p.rate_g + (1.0 - weight) * p.rate_f
-    else:
-        raise ValueError(f"unknown objective {objective!r}")
-    return min(grid.points, key=lambda p: (score(p), p.m, p.n))
 
 
 # ---------------------------------------------------------------------------

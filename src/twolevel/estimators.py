@@ -17,7 +17,6 @@ from .basis import FunctionSeries, Spectrum, fourier_matrix
 from .simulate import CoefficientPanel, MultiSubjectTable, SubjectStats
 
 __all__ = [
-    "ThresholdSelection",
     "PosteriorSpec",
     "empirical_coefficients",
     "pooled_coefficients",
@@ -37,35 +36,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ThresholdSelection:
-    """Outcome of a data-driven threshold search.
-
-    For the population rule ``kind == "g_single_threshold"`` and
-    ``k1 == k2``; for the subject rule ``kind == "f_double_threshold"`` and
-    ``k1 <= k2``.
-    """
-
-    kind: str
-    k1: int
-    k2: int
-    tau1: float
-    tau2: float
-    search_bound: int
-
-    def __post_init__(self):
-        if self.kind not in ("g_single_threshold", "f_double_threshold"):
-            raise ValueError(f"unknown threshold kind {self.kind!r}")
-        if self.k1 > self.k2:
-            raise ValueError("k1 must not exceed k2")
-        if self.k2 > self.search_bound:
-            raise ValueError("threshold exceeds its search bound")
-
-    def to_csv(self) -> str:
-        return ("kind,k1,k2,tau1,tau2,bound\n"
-                f"{self.kind},{self.k1},{self.k2},{self.tau1!r},{self.tau2!r},{self.search_bound}\n")
-
-
-@dataclass(frozen=True)
 class PosteriorSpec:
     """Eigenvalue laws assumed by the conjugate posterior-mean estimators.
 
@@ -77,12 +47,10 @@ class PosteriorSpec:
     deviation_spectrum: Spectrum
 
 
-def empirical_coefficients(table: MultiSubjectTable, width: int,
-                           normalize: bool = True) -> CoefficientPanel:
+def empirical_coefficients(table: MultiSubjectTable, width: int) -> CoefficientPanel:
     """Per-subject empirical basis coefficients of a curve table.
 
-    Entry (j, k) is ``(1/n) * sum_i Y_i^(j) psi_k(t_i^(j))``; pass
-    ``normalize=False`` for the raw, unnormalized inner product.
+    Entry (j, k) is ``(1/n) * sum_i Y_i^(j) psi_k(t_i^(j))``.
 
     The panel is flagged as aliased when ``width`` exceeds half the grid size.
     The design matrix is rebuilt only where a subject's grid differs from the
@@ -99,9 +67,7 @@ def empirical_coefficients(table: MultiSubjectTable, width: int,
     for j, (grid, y) in enumerate(zip(table.times, table.values)):
         if grid_of_psi is None or not np.array_equal(grid, grid_of_psi):
             psi, grid_of_psi = fourier_matrix(grid, width), grid
-        rows[j] = psi.T @ y
-        if normalize:
-            rows[j] /= n_obs
+        rows[j] = psi.T @ y / n_obs
     return CoefficientPanel(n=n_obs, m=table.m, coeffs=rows, aliased=width > n_obs / 2)
 
 
@@ -182,20 +148,19 @@ def lepskii_min_k(sq_terms: np.ndarray, tau: float, denom: float, bound: int):
     return np.where(ok.any(axis=-1), first + 1, bound)
 
 
-def lepskii_threshold_g(stats: SubjectStats, tau: float = 6.5) -> ThresholdSelection:
-    """Data-driven truncation level for the pooled estimator of g.
+def lepskii_threshold_g(stats: SubjectStats, tau: float = 6.5):
+    """Data-driven truncation level k for the pooled estimator of g: an int
+    for one row, one k per row for a stack.
 
-    Searches k in 1..floor(sqrt(n*m)) for the smallest level whose estimator
-    is within ``tau * l / (n*m)`` (squared L2, via Parseval) of every finer
-    one.
+    Searches k in 1..floor(sqrt(n*m)) for the smallest level whose estimator is
+    within ``tau * l / (n*m)`` (squared L2, via Parseval) of every finer one.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    bound = int(math.isqrt(stats.n * stats.m))
+    bound = math.isqrt(stats.n * stats.m)
     if bound > stats.width:
         raise ValueError(f"panel too narrow for search bound {bound}")
-    k = lepskii_min_k(stats.pooled**2, tau, stats.n * stats.m, bound)
-    return ThresholdSelection("g_single_threshold", k, k, tau, tau, bound)
+    return lepskii_min_k(stats.pooled**2, tau, stats.n * stats.m, bound)
 
 
 def double_threshold_estimate_f(stats: SubjectStats, k1: int, k2: int) -> FunctionSeries:
@@ -216,10 +181,9 @@ def double_threshold_estimate_f(stats: SubjectStats, k1: int, k2: int) -> Functi
     return FunctionSeries(coeffs)
 
 
-def lepskii_thresholds_f(stats: SubjectStats, tau1: float = 4.5,
-                         tau2: float = 6.5) -> ThresholdSelection:
+def lepskii_thresholds_f(stats: SubjectStats, tau1: float = 4.5, tau2: float = 6.5):
     """Data-driven thresholds (k1, k1 v k2) for the double-thresholding
-    subject estimator.
+    subject estimator: ints for one row, one pair of arrays for a stack.
 
     k2 runs the pooled rule (leave-one-out, bound ``tau2 * l / (n*m)`` over
     l <= sqrt(n*m)); k1 runs the own-vs-pooled rule (bound ``tau1 * l / n``
@@ -231,40 +195,27 @@ def lepskii_thresholds_f(stats: SubjectStats, tau1: float = 4.5,
     if tau1 <= 0 or tau2 <= 0:
         raise ValueError("tau values must be positive")
     n, m = stats.n, stats.m
-    bound2 = int(math.isqrt(n * m))
-    bound1 = int(math.isqrt(n))
+    bound2 = math.isqrt(n * m)
     if bound2 > stats.width:
         raise ValueError(f"panel too narrow for search bound {bound2}")
     k2 = lepskii_min_k(stats.donor_mean**2, tau2, n * m, bound2)
-    gaps_sq = (stats.own - stats.donor_mean) ** 2
-    k1 = lepskii_min_k(gaps_sq, tau1, n, bound1)
-    return ThresholdSelection("f_double_threshold", k1, max(k1, k2), tau1, tau2, bound2)
+    k1 = lepskii_min_k((stats.own - stats.donor_mean) ** 2, tau1, n, math.isqrt(n))
+    return k1, (max(k1, k2) if stats.own.ndim == 1 else np.maximum(k1, k2))
 
 
-def single_subject_threshold(row: np.ndarray, n: int, m: int, tau: float = 2.0,
-                             denominator: str = "nm") -> ThresholdSelection:
-    """Threshold of the single-subject baseline estimator.
-
-    The comparison bound is ``tau * l / (n*m)`` by default; ``denominator="n"``
-    switches to ``tau * l / n``.
-    """
-    row = np.asarray(row, dtype=float)
-    if denominator not in ("nm", "n"):
-        raise ValueError(f"unknown denominator choice {denominator!r}")
-    denom = n * m if denominator == "nm" else n
-    bound = int(math.isqrt(n))
-    if bound > row.size:
+def single_subject_threshold(stats: SubjectStats, tau: float = 2.0):
+    """Threshold k of the single-subject baseline, from its own coefficients
+    alone: k in 1..floor(sqrt(n)) with the comparison bound ``tau * l / (n*m)``.
+    An int for one row, one k per row for a stack."""
+    bound = math.isqrt(stats.n)
+    if bound > stats.width:
         raise ValueError(f"row too short for search bound {bound}")
-    k = lepskii_min_k(row**2, tau, denom, bound)
-    return ThresholdSelection("g_single_threshold", k, k, tau, tau, bound)
+    return lepskii_min_k(stats.own**2, tau, stats.n * stats.m, bound)
 
 
-def single_subject_estimate(row: np.ndarray, n: int, m: int, tau: float = 2.0,
-                            denominator: str = "nm") -> FunctionSeries:
-    """Project one subject's coefficient row to its data-driven threshold."""
-    row = np.asarray(row, dtype=float)
-    sel = single_subject_threshold(row, n, m, tau, denominator)
-    return FunctionSeries(row[: sel.k1])
+def single_subject_estimate(stats: SubjectStats, tau: float = 2.0) -> FunctionSeries:
+    """Project one subject's own coefficient row to its data-driven threshold."""
+    return FunctionSeries(stats.own[: single_subject_threshold(stats, tau)])
 
 
 def posterior_mean_g(stats: SubjectStats, spec: PosteriorSpec) -> FunctionSeries:

@@ -10,7 +10,7 @@ cost-weighted gradients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -25,7 +25,6 @@ __all__ = [
     "RateQuery",
     "RateGradient",
     "EstimatorSpec",
-    "empirical_mise",
     "parseval_mise",
     "rmspe",
     "run_monte_carlo",
@@ -33,35 +32,15 @@ __all__ = [
     "rate_f",
     "rate_gradient",
     "slope_recovery",
-    "default_eval_grid_g",
-    "default_eval_grid_f",
     "adaptive_g",
     "fixed_g",
+    "fixed_g_threshold",
     "adaptive_f",
     "fixed_f",
     "single_subject_f",
     "posterior_g",
     "posterior_f",
 ]
-
-
-def default_eval_grid_g(points: int = 10000) -> np.ndarray:
-    """Midpoint grid t_i = (i - 0.5)/points, i = 1..points."""
-    return (np.arange(1, points + 1) - 0.5) / points
-
-
-def default_eval_grid_f(N: int = 20000, points: int = 1000) -> np.ndarray:
-    """Held-out grid {(20 i + 1)/N : i = 0..points-1}."""
-    return (20.0 * np.arange(points) + 1.0) / N
-
-
-def empirical_mise(estimate: FunctionSeries, truth_values, grid) -> float:
-    """Mean squared difference between the series and truth values on a grid."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("evaluation grid must be nonempty")
-    diff = series_eval(estimate, grid) - np.asarray(truth_values, dtype=float)
-    return float(np.mean(diff**2))
 
 
 def parseval_mise(estimate: FunctionSeries, truth) -> float:
@@ -99,23 +78,26 @@ class EstimatorSpec:
 
 def adaptive_g(tau: float = 6.5) -> EstimatorSpec:
     def fit(stats):
-        sel = est.lepskii_threshold_g(stats, tau=tau)
-        return est.threshold_estimate_g(stats, sel.k1)
+        return est.threshold_estimate_g(stats, est.lepskii_threshold_g(stats, tau=tau))
     return EstimatorSpec(f"adaptive_g_tau{tau:g}", "g", fit)
+
+
+def fixed_g_threshold(n: int, m: int, beta: float) -> int:
+    """The nonadaptive threshold ceil((n*m)^(1/(1+2*beta))) of :func:`fixed_g`."""
+    return math.ceil((n * m) ** (1.0 / (1.0 + 2.0 * beta)))
 
 
 def fixed_g(beta: float) -> EstimatorSpec:
     """Pooled estimator with the nonadaptive threshold (n*m)^(1/(1+2*beta))."""
     def fit(stats):
-        K = math.ceil((stats.n * stats.m) ** (1.0 / (1.0 + 2.0 * beta)))
-        return est.threshold_estimate_g(stats, K)
+        return est.threshold_estimate_g(stats, fixed_g_threshold(stats.n, stats.m, beta))
     return EstimatorSpec(f"fixed_g_beta{beta:g}", "g", fit)
 
 
 def adaptive_f(tau1: float = 4.5, tau2: float = 6.5) -> EstimatorSpec:
     def fit(stats):
-        sel = est.lepskii_thresholds_f(stats, tau1=tau1, tau2=tau2)
-        return est.double_threshold_estimate_f(stats, sel.k1, sel.k2)
+        k1, k2 = est.lepskii_thresholds_f(stats, tau1=tau1, tau2=tau2)
+        return est.double_threshold_estimate_f(stats, k1, k2)
     return EstimatorSpec(f"adaptive_f_tau{tau1:g}_{tau2:g}", "f", fit)
 
 
@@ -128,10 +110,9 @@ def fixed_f(alpha: float, alpha_tilde: float) -> EstimatorSpec:
     return EstimatorSpec(f"fixed_f_a{alpha:g}_at{alpha_tilde:g}", "f", fit)
 
 
-def single_subject_f(tau: float = 2.0, denominator: str = "nm") -> EstimatorSpec:
+def single_subject_f(tau: float = 2.0) -> EstimatorSpec:
     def fit(stats):
-        return est.single_subject_estimate(stats.own, stats.n, stats.m,
-                                           tau=tau, denominator=denominator)
+        return est.single_subject_estimate(stats, tau=tau)
     return EstimatorSpec(f"single_f_tau{tau:g}", "f", fit)
 
 

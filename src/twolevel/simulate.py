@@ -104,7 +104,9 @@ class SubjectStats:
     """What every estimator reads of one subject in an m-subject study: its
     own coefficient row and the mean row of the other m - 1 subjects.
 
-    ``donor_mean`` is None exactly when m = 1.
+    ``own`` may also be a (rows, K) stack of subjects, with ``donor_mean`` of
+    the same shape; ``width`` is K either way.  ``donor_mean`` is None
+    exactly when m = 1.
     """
 
     n: int
@@ -117,13 +119,13 @@ class SubjectStats:
             raise ValueError(f"need at least 1 subject, got m={self.m}")
         if (self.donor_mean is None) != (self.m == 1):
             raise ValueError("donor_mean must be given exactly when m >= 2")
-        rows = {"own": self.own, "donor_mean": self.donor_mean}
-        for name, row in rows.items():
-            if row is None:
-                continue
-            row = np.array(row, dtype=float)
-            if row.ndim != 1 or row.size != np.size(self.own):
-                raise ValueError(f"{name} must be one row of {np.size(self.own)} coefficients")
+        shape = np.shape(self.own)
+        if len(shape) not in (1, 2):
+            raise ValueError(f"own must be one row or a stack of rows, got shape {shape}")
+        for name in ("own", "donor_mean") if self.m > 1 else ("own",):
+            row = np.array(getattr(self, name), dtype=float)
+            if row.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {row.shape}")
             if not np.all(np.isfinite(row)):
                 raise ValueError(f"{name} has non-finite entries")
             row.setflags(write=False)
@@ -131,7 +133,7 @@ class SubjectStats:
 
     @property
     def width(self) -> int:
-        return self.own.size
+        return self.own.shape[-1]
 
     @property
     def pooled(self) -> np.ndarray:

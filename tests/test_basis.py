@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twolevel.basis import (FunctionSeries, SobolevBall, Spectrum, fourier_eval,
-                            fourier_matrix, series_eval, sobolev_norm_sq,
-                            tail_energy)
+from twolevel.basis import (FunctionSeries, SobolevBall, Spectrum, fourier_matrix,
+                            series_eval, sobolev_norm_sq, tail_energy)
+
+from reference import fourier_eval
 
 
 class TestSpectrum:

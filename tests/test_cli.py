@@ -7,30 +7,13 @@ import warnings
 import numpy as np
 import pytest
 
-from twolevel.cli import build_parser, cli_dispatch, parse_config_file
+from twolevel.cli import build_parser, cli_dispatch
 
 
 def run(capsys, *argv):
     code = cli_dispatch(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-class TestConfigFile:
-    def test_parse(self, tmp_path):
-        p = tmp_path / "run.cfg"
-        p.write_text("# comment\nn = 100\nalpha = 0.5  # trailing\n\nname=demo\n")
-        assert parse_config_file(p) == {"n": "100", "alpha": "0.5", "name": "demo"}
-
-    def test_bad_line(self, tmp_path):
-        p = tmp_path / "bad.cfg"
-        p.write_text("just words\n")
-        with pytest.raises(ValueError, match="key = value"):
-            parse_config_file(p)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(ValueError):
-            parse_config_file(tmp_path / "nope.cfg")
 
 
 class TestRates:
@@ -142,6 +125,24 @@ class TestStudies:
         assert "need at least 2 subjects" in err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_study1_default_k_max_covers_fixed_thresholds(self, tmp_path, capsys):
+        # the README line: fixed_g_beta0.2 keeps ceil(10000^(1/1.4)) = 720
+        # coefficients, more than 4 sqrt(n m) = 400
+        out = tmp_path / "s1"
+        code, _, err = run(capsys, "study1", "--n", "100", "--m", "100", "--alpha", "0.5",
+                           "--replicates", "3", "--out", str(out))
+        assert code == 0, err
+        assert "# k_max = 720" in (out / "summary.csv").read_text().splitlines()
+
+    def test_study1_k_max_below_fixed_threshold_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "s1"
+        code, _, err = run(capsys, "study1", "--n", "100", "--m", "100", "--alpha", "0.5",
+                           "--k-max", "400", "--replicates", "3", "--out", str(out))
+        assert code == 2
+        assert err == ("config error: k_max = 400 is below the widest fixed threshold: "
+                       "fixed_g_beta0.2 keeps 720 coefficients\n")
+        assert not out.exists()
+
 
 @pytest.fixture
 def table_csv(tmp_path):
@@ -203,6 +204,36 @@ class TestDataCommands:
                                "--test-b", "0", "--test-count", "151")
         assert code == 3
         assert "data error" in err and "n = 151" in err
+
+    def test_constant_times_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "constant.csv"
+        data.write_text("subject,i,t,y\na,1,5.0,1.0\nb,1,5.0,2.0\n")
+        code, _, err = run(capsys, "compare", "--data", str(data))
+        assert code == 3
+        assert err == "data error: every t is 5.0; cannot rescale t to [0, 1]\n"
+
+    # both tables overflow numpy sums on purpose; the CLI prints those warnings
+    @pytest.mark.filterwarnings("default::RuntimeWarning")
+    def test_overflowing_coefficients_are_data_error(self, tmp_path, capsys):
+        lines = ["subject,i,t,y"] + [f"{s},{i},{(i - 1) / 11!r},{(-1) ** i * 1e308!r}"
+                                     for s in "abc" for i in range(1, 13)]
+        data = tmp_path / "huge.csv"
+        data.write_text("\n".join(lines) + "\n")
+        code, _, err = run(capsys, "compare", "--data", str(data), "--test-count", "4")
+        assert code == 3
+        assert err.endswith("data error: cannot fit the training data: "
+                            "coefficient panel has non-finite entries\n")
+
+    @pytest.mark.filterwarnings("default::RuntimeWarning")
+    def test_overflowing_leave_one_out_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "huge.csv"
+        data.write_text("subject,i,t,y\n" + "".join(f"{s},1,0.1,1.5e308\n{s},2,0.6,1.5e308\n"
+                                                    for s in "abc"))
+        code, _, err = run(capsys, "compare", "--data", str(data), "--test-a", "1",
+                           "--test-b", "1", "--test-count", "1")
+        assert code == 3
+        assert err.endswith("data error: cannot fit the training data: "
+                            "donor_mean has non-finite entries\n")
 
 
     def test_compare_fixture_prints_no_warning(self, capsys):

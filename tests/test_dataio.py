@@ -123,6 +123,14 @@ class TestParse:
         assert parse_error(text) == \
             "after rescaling t to [0, 1]: subject a: times must be strictly increasing"
 
+    def test_constant_times_outside_unit_interval(self):
+        # one row per subject, all at t = 5: nothing to rescale by
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert parse_error("subject,i,t,y\na,1,5.0,1.0\nb,1,5.0,2.0\n") == \
+                "every t is 5.0; cannot rescale t to [0, 1]"
+        assert parse_table("subject,i,t,y\na,1,0.5,1.0\nb,1,0.5,2.0\n").times[0] == [0.5]
+
     @pytest.mark.parametrize("block_lines", [2, dataio.BLOCK_LINES])
     def test_first_bad_line_wins(self, monkeypatch, block_lines):
         # one line short of a column and one over: the comma total still fits
@@ -229,7 +237,7 @@ class TestSplit:
         np.testing.assert_array_equal(test.values[1], [4.5, 7.5])
 
 
-def reference_comparison(table, spec, tau1=4.5, tau2=6.5, tau_single=2.0, denominator="nm"):
+def reference_comparison(table, spec, tau1=4.5, tau2=6.5, tau_single=2.0):
     """The per-subject route: a design matrix per subject and fit, one
     leave-one-out mean and one threshold search per subject."""
     train, test = split(table, spec)
@@ -240,10 +248,9 @@ def reference_comparison(table, spec, tau1=4.5, tau2=6.5, tau_single=2.0, denomi
     results = []
     for j, sid in enumerate(table.subject_ids):
         stats = subject_stats(panel, j)
-        single = single_subject_estimate(stats.own, n, m, tau=tau_single,
-                                         denominator=denominator)
-        sel = lepskii_thresholds_f(stats, tau1=tau1, tau2=tau2)
-        double = double_threshold_estimate_f(stats, sel.k1, sel.k2)
+        single = single_subject_estimate(stats, tau=tau_single)
+        k1, k2 = lepskii_thresholds_f(stats, tau1=tau1, tau2=tau2)
+        double = double_threshold_estimate_f(stats, k1, k2)
         t_test, y_test = test.times[j], test.values[j]
         results.append((sid, rmspe(single, t_test, y_test), rmspe(double, t_test, y_test)))
     return results
@@ -271,9 +278,8 @@ class TestCompare:
             assert sid.startswith("s")
             assert r_single >= 0 and r_double >= 0
 
-    @pytest.mark.parametrize("denominator", ["nm", "n"])
     @pytest.mark.parametrize("grids", ["shared", "per subject"])
-    def test_matches_per_subject_reference(self, grids, denominator):
+    def test_matches_per_subject_reference(self, grids):
         n, m = 61, 7
         cfg = ModelConfig(n, m, Spectrum(0.2, scale=1.0),
                           deviation_spectrum=Spectrum(0.5, scale=0.5), k_max=60)
@@ -286,8 +292,8 @@ class TestCompare:
         spec = SplitSpec(4, -2, 15)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DataWarning)
-            got = compare_estimators(table, spec, tau_single=0.5, denominator=denominator)
-            want = reference_comparison(table, spec, tau_single=0.5, denominator=denominator)
+            got = compare_estimators(table, spec, tau_single=0.5)
+            want = reference_comparison(table, spec, tau_single=0.5)
         assert got == want
 
     def test_aliased_fit_warns(self):

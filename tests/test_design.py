@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from twolevel.design import (GRADIENT_CSV_HEADER, DesignGrid, emit_gradient_map,
-                             emit_heatmap, enumerate_designs, gradient_csv,
-                             recommend_design)
+from twolevel.design import (GRADIENT_CSV_HEADER, emit_gradient_map, emit_heatmap,
+                             enumerate_designs, gradient_csv)
 from twolevel.risk import RateQuery, rate_f, rate_g
 
 
@@ -42,35 +41,6 @@ class TestEnumerate:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             enumerate_designs(10, 1.0, 0.5, mode="quadratic")
-
-
-class TestRecommend:
-    def test_matches_exhaustive_argmin(self):
-        grid = enumerate_designs(200, alpha=0.5, alpha_tilde=0.5)
-        best_g = recommend_design(grid, "g")
-        assert best_g.rate_g == min(p.rate_g for p in grid.points)
-        best_f = recommend_design(grid, "f")
-        assert best_f.rate_f == min(p.rate_f for p in grid.points)
-
-    def test_g_objective_prefers_more_subjects_than_f(self):
-        # the population target wants m large; the subject target wants n large
-        grid = enumerate_designs(10000, alpha=0.5, alpha_tilde=0.5, density=30)
-        assert recommend_design(grid, "g").m >= recommend_design(grid, "f").m
-        assert recommend_design(grid, "f").n >= recommend_design(grid, "g").n
-
-    def test_weighted_objective(self):
-        grid = enumerate_designs(100, alpha=0.5, alpha_tilde=0.5)
-        p = recommend_design(grid, "weighted", weight=1.0)
-        assert p.rate_g == recommend_design(grid, "g").rate_g
-        with pytest.raises(ValueError):
-            recommend_design(grid, "weighted")
-        with pytest.raises(ValueError):
-            recommend_design(grid, "weighted", weight=1.5)
-
-    def test_empty_grid(self):
-        grid = DesignGrid((), 1.0, "product", 1.0, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            recommend_design(grid)
 
 
 class TestGradientMap:

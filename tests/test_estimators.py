@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from twolevel.basis import FunctionSeries, Spectrum
-from twolevel.estimators import (PosteriorSpec, ThresholdSelection,
-                                 double_threshold_estimate_f,
+from twolevel.estimators import (PosteriorSpec, double_threshold_estimate_f,
                                  empirical_coefficients, leave_one_out_means,
                                  lepskii_min_k, lepskii_threshold_g,
                                  lepskii_thresholds_f, oracle_thresholds,
@@ -16,8 +15,9 @@ from twolevel.estimators import (PosteriorSpec, ThresholdSelection,
                                  posterior_mean_g, single_subject_estimate,
                                  single_subject_threshold, subject_stats,
                                  threshold_estimate_g)
-from twolevel.simulate import (CoefficientPanel, ModelConfig, sample_panel,
-                               sample_population, simulate_regression, substream)
+from twolevel.simulate import (CoefficientPanel, ModelConfig, SubjectStats,
+                               sample_panel, sample_population,
+                               simulate_regression, substream)
 
 
 def brute_force_min_k(sq_terms, tau, denom, bound):
@@ -76,15 +76,6 @@ class TestEmpiricalCoefficients:
         _, subs, data = simulate_regression(cfg, [grid], seed=0, noise_sd=0.0)
         panel = empirical_coefficients(data, 8)
         np.testing.assert_allclose(panel.coeffs[0], subs[0].coeffs, atol=1e-10)
-
-    def test_unnormalized_variant(self):
-        cfg = ModelConfig(n=1, m=1, prior_spectrum=Spectrum(0.5),
-                          deviation_spectrum=Spectrum(0.5), k_max=4)
-        grid = (np.arange(32) + 0.5) / 32
-        _, _, data = simulate_regression(cfg, [grid], seed=1)
-        raw = empirical_coefficients(data, 4, normalize=False)
-        scaled = empirical_coefficients(data, 4)
-        np.testing.assert_allclose(raw.coeffs, 32 * scaled.coeffs)
 
     def test_alias_flag(self):
         grid = (np.arange(10) + 0.5) / 10
@@ -170,22 +161,21 @@ class TestLepskiiSelectors:
         rng = substream(12, 0)
         for trial in range(10):
             panel = random_panel(rng, n=40, m=6, width=64)
-            sel = lepskii_threshold_g(subject_stats(panel, 0), tau=6.5)
+            k = lepskii_threshold_g(subject_stats(panel, 0), tau=6.5)
             pooled_sq = pooled_coefficients(panel) ** 2
             bound = int(math.isqrt(40 * 6))
-            assert sel.k1 == brute_force_min_k(pooled_sq, 6.5, 40 * 6, bound)
-            assert sel.k1 == sel.k2
+            assert k == brute_force_min_k(pooled_sq, 6.5, 40 * 6, bound)
 
     def test_f_matches_brute_force(self):
         rng = substream(13, 0)
         for trial in range(10):
             panel = random_panel(rng, n=50, m=5, width=64)
-            sel = lepskii_thresholds_f(subject_stats(panel, 2))
+            got = lepskii_thresholds_f(subject_stats(panel, 2))
             pooled = pooled_coefficients(panel, exclude_subject=2)
             k2 = brute_force_min_k(pooled**2, 6.5, 250, int(math.isqrt(250)))
             gaps = (panel.coeffs[2] - pooled) ** 2
             k1 = brute_force_min_k(gaps, 4.5, 50, int(math.isqrt(50)))
-            assert (sel.k1, sel.k2) == (k1, max(k1, k2))
+            assert got == (k1, max(k1, k2))
 
     def test_f_requires_two_subjects(self):
         panel = CoefficientPanel(n=9, m=1, coeffs=[np.ones(8)])
@@ -196,22 +186,35 @@ class TestLepskiiSelectors:
         rng = substream(14, 0)
         for trial in range(10):
             row = rng.normal(size=40)
-            sel = single_subject_threshold(row, n=100, m=7)
-            assert sel.k1 == brute_force_min_k(row**2, 2.0, 700, 10)
-            sel_n = single_subject_threshold(row, n=100, m=7, denominator="n")
-            assert sel_n.k1 == brute_force_min_k(row**2, 2.0, 100, 10)
+            k = single_subject_threshold(SubjectStats(100, 7, row, np.zeros(40)))
+            assert k == brute_force_min_k(row**2, 2.0, 700, 10)
 
     def test_single_subject_estimate_truncates(self):
-        row = np.array([5.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-        sel = single_subject_threshold(row, n=81, m=1)
-        est = single_subject_estimate(row, n=81, m=1)
-        np.testing.assert_allclose(est.coeffs, row[: sel.k1])
+        stats = SubjectStats(81, 1, [5.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], None)
+        est = single_subject_estimate(stats)
+        np.testing.assert_allclose(est.coeffs, stats.own[: single_subject_threshold(stats)])
 
-    def test_selection_validation(self):
-        with pytest.raises(ValueError):
-            ThresholdSelection("g_single_threshold", 3, 2, 1.0, 1.0, 10)
-        with pytest.raises(ValueError):
-            ThresholdSelection("bogus", 1, 2, 1.0, 1.0, 10)
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 60), st.sampled_from([2, 3, 257]), st.integers(0, 2),
+           st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0), st.floats(0.1, 10.0))
+    def test_stack_matches_rows(self, n, m, extra, seed, log_scale, tau):
+        # a stack of all subjects selects what each subject's own row selects;
+        # large scales leave no k below the bound, so the bound is chosen
+        width = max(math.isqrt(n * m), math.isqrt(n)) + extra
+        rng = substream(seed, 0)
+        panel = CoefficientPanel(n=n, m=m,
+                                 coeffs=10.0**log_scale * rng.standard_normal((m, width)))
+        stack = SubjectStats(n, m, panel.coeffs, leave_one_out_means(panel))
+        rows = [subject_stats(panel, j) for j in range(m)]
+        np.testing.assert_array_equal(lepskii_threshold_g(stack, tau),
+                                      [lepskii_threshold_g(r, tau) for r in rows])
+        k1, k2 = lepskii_thresholds_f(stack, tau, 1.5 * tau)
+        want = [lepskii_thresholds_f(r, tau, 1.5 * tau) for r in rows]
+        assert all(type(k) is int for pair in want for k in pair)
+        np.testing.assert_array_equal(k1, [w[0] for w in want])
+        np.testing.assert_array_equal(k2, [w[1] for w in want])
+        np.testing.assert_array_equal(single_subject_threshold(stack, tau),
+                                      [single_subject_threshold(r, tau) for r in rows])
 
 
 def conditioned_posterior_oracle(panel, spec, k):

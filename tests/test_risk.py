@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from twolevel.basis import FunctionSeries, Spectrum, fourier_eval
+from twolevel.basis import FunctionSeries, Spectrum
 from twolevel.estimators import PosteriorSpec
 from twolevel.risk import (EstimatorSpec, RateQuery, adaptive_f, adaptive_g,
-                           default_eval_grid_f, default_eval_grid_g,
-                           empirical_mise, fixed_f, fixed_g, parseval_mise,
-                           posterior_f, posterior_g, rate_f, rate_g,
-                           rate_gradient, rmspe, run_monte_carlo,
-                           single_subject_f, slope_recovery)
+                           fixed_f, fixed_g, parseval_mise, posterior_f,
+                           posterior_g, rate_f, rate_g, rate_gradient, rmspe,
+                           run_monte_carlo, single_subject_f, slope_recovery)
 from twolevel.simulate import ModelConfig
+
+from reference import default_eval_grid_f, default_eval_grid_g, empirical_mise
 
 
 class TestScores:

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from twolevel.basis import FunctionSeries, Spectrum, fourier_eval, series_eval
+from twolevel.basis import FunctionSeries, Spectrum, series_eval
 from twolevel.dataio import parse_table
 from twolevel.estimators import subject_stats
 from twolevel.simulate import (ModelConfig, MultiSubjectTable, SubjectStats,
                                build_covariance, default_k_max, sample_panel,
                                sample_population, sample_stats,
                                simulate_regression, study1_grids, substream)
+
+from reference import fourier_eval
 
 
 @pytest.fixture
