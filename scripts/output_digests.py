@@ -1,0 +1,67 @@
+"""Print a SHA-256 digest of every artifact of a fixed set of CLI runs.
+
+The runs cover both Monte Carlo studies, the data comparison on the bundled
+fixture and the oracle check.  Each artifact is hashed with its ``#`` header
+lines dropped, and each run's stdout is hashed as ``<run>/stdout`` with the
+output directory replaced by ``OUT``.  Two checkouts whose printed lines are
+equal produce the same numbers; diff the output of two checkouts to compare
+them.  Imports ``twolevel`` from this checkout's ``src/``.
+
+Run from anywhere:
+
+    python3 scripts/output_digests.py
+"""
+
+import contextlib
+import hashlib
+import io
+import pathlib
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from twolevel.cli import cli_dispatch  # noqa: E402
+
+FIXTURE = ROOT / "tests" / "fixtures" / "synthetic_curves.csv"
+RUNS = {
+    "study1_n100_m100": "study1 --n 100 --m 100 --alpha 0.5 --k-max 800 --replicates 50 --seed 3",
+    "study1_n7_m2": "study1 --n 7 --m 2 --alpha 1.0 --replicates 30 --seed 11",
+    "study2_b5000": "study2 --alpha 0.5 --budget 5000 --density 6 --replicates 20 --seed 1",
+    "study2_b20000": ("study2 --alpha 1.5 --alpha-tilde 0.3 --budget 20000 --density 7 "
+                      "--replicates 9 --seed 5"),
+    "compare_fixture": f"compare --data {FIXTURE}",
+    "oracle_n100_m10": "oracle-check --n 100 --m 10 --alpha 1.0",
+    "oracle_n30_m40": "oracle-check --n 30 --m 40 --alpha 0.5 --alpha-tilde 1.0 --seed 4",
+}
+
+
+def body_digest(text: str) -> str:
+    body = "".join(ln for ln in text.splitlines(keepends=True) if not ln.startswith("#"))
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp)
+        for name, command in RUNS.items():
+            argv = command.split()
+            if argv[0] == "compare":
+                argv += ["--out", str(out / name / "rmspe.csv")]
+            elif argv[0] != "oracle-check":
+                argv += ["--out", str(out / name)]
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                status = cli_dispatch(argv)
+            if status != 0:
+                print(f"{name}: exit {status}", file=sys.stderr)
+                return 1
+            print(f"{body_digest(stdout.getvalue().replace(tmp, 'OUT'))}  {name}/stdout")
+            for path in sorted((out / name).glob("*")) if (out / name).is_dir() else ():
+                print(f"{body_digest(path.read_text())}  {name}/{path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

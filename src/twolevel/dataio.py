@@ -63,11 +63,15 @@ def parse_table(text: str) -> MultiSubjectTable:
     if body and body[0].strip() == HEADER:
         parsed = _parse_blocks(body[1:])
     ids, indices, times, values = parsed or _parse_lines(lines)
-    lo, hi = times.min(), times.max()
-    rescaled = bool(lo < 0.0 or hi > 1.0)
+    lo, hi = float(times.min()), float(times.max())
+    rescaled = lo < 0.0 or hi > 1.0
     if rescaled:
         if hi == lo:
-            raise DataError(f"every t is {float(lo)!r}; cannot rescale t to [0, 1]")
+            raise DataError(f"every t is {lo!r}; cannot rescale t to [0, 1]")
+        # a Python float difference overflows to inf without a numpy warning
+        if not math.isfinite(hi - lo):
+            raise DataError(f"t spans [{lo!r}, {hi!r}], wider than the float range; "
+                            f"cannot rescale t to [0, 1]")
         times = (times - lo) / (hi - lo)
     try:
         table = MultiSubjectTable(ids, tuple(indices), tuple(times), tuple(values),
@@ -76,7 +80,7 @@ def parse_table(text: str) -> MultiSubjectTable:
         # rescaling can merge times that were distinct but far from [0, 1]
         raise DataError(f"after rescaling t to [0, 1]: {err}") from None
     if rescaled:
-        warnings.warn(f"t rescaled to [0, 1] from [{float(lo)!r}, {float(hi)!r}]",
+        warnings.warn(f"t rescaled to [0, 1] from [{lo!r}, {hi!r}]",
                       DataWarning, stacklevel=2)
     return table
 
@@ -119,7 +123,8 @@ def _parse_blocks(rows: list[str]):
     order = np.lexsort((idx, codes))
     idx = idx[order].reshape(m, n)
     t = t[order].reshape(m, n)
-    if np.any(idx != np.arange(1, n + 1)) or np.any(np.diff(t, axis=1) <= 0):
+    # neighbours compared, not subtracted: a difference can overflow
+    if np.any(idx != np.arange(1, n + 1)) or np.any(t[:, 1:] <= t[:, :-1]):
         return None
     return tuple(ids), idx, t, y[order].reshape(m, n)
 
@@ -164,8 +169,9 @@ def _parse_lines(lines: list[str]):
             raise DataError(f"subject {sid}: time indices must be contiguous 1..{n} "
                             f"(first row at line {recs[0][0]})")
         t = np.array([r[2] for r in recs])
-        if np.any(np.diff(t) <= 0):
-            bad = int(np.nonzero(np.diff(t) <= 0)[0][0])
+        not_increasing = t[1:] <= t[:-1]
+        if np.any(not_increasing):
+            bad = int(np.nonzero(not_increasing)[0][0])
             raise DataError(f"subject {sid}: t not strictly increasing at line {recs[bad + 1][0]}")
         indices.append(idx)
         times.append(t)

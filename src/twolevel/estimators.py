@@ -116,13 +116,29 @@ def leave_one_out_means(panel: CoefficientPanel) -> np.ndarray:
     return out
 
 
-def threshold_estimate_g(stats: SubjectStats, K: int) -> FunctionSeries:
-    """Pooled series estimator keeping the first K coefficients."""
-    if K < 0 or K > stats.width:
+def _before(k, width: int) -> np.ndarray:
+    """Mask of the columns before k in a row of ``width``; k is an int, or
+    one level per row of a stack."""
+    return np.arange(width) < np.expand_dims(k, -1)
+
+
+def _estimate(coeffs: np.ndarray, k=None):
+    """One row as the FunctionSeries of its first k coefficients; a stack as
+    the (rows, width) array, zero past each row's k.  ``k = None`` keeps
+    every coefficient."""
+    if coeffs.ndim == 1:
+        return FunctionSeries(coeffs[:k])
+    if k is None:
+        return coeffs
+    return np.where(_before(k, coeffs.shape[-1]), coeffs, 0.0)
+
+
+def threshold_estimate_g(stats: SubjectStats, K):
+    """Pooled series estimator keeping the first K coefficients; see
+    :func:`_estimate` for one row against a stack."""
+    if np.any(np.less(K, 0)) or np.any(np.greater(K, stats.width)):
         raise ValueError(f"K must be in 0..{stats.width}, got {K}")
-    if K == 0:
-        return FunctionSeries.zero()
-    return FunctionSeries(stats.pooled[:K])
+    return _estimate(stats.pooled, K)
 
 
 def lepskii_min_k(sq_terms: np.ndarray, tau: float, denom: float, bound: int):
@@ -160,25 +176,26 @@ def lepskii_threshold_g(stats: SubjectStats, tau: float = 6.5):
     bound = math.isqrt(stats.n * stats.m)
     if bound > stats.width:
         raise ValueError(f"panel too narrow for search bound {bound}")
-    return lepskii_min_k(stats.pooled**2, tau, stats.n * stats.m, bound)
+    return lepskii_min_k(stats.pooled[..., :bound] ** 2, tau, stats.n * stats.m, bound)
 
 
-def double_threshold_estimate_f(stats: SubjectStats, k1: int, k2: int) -> FunctionSeries:
+def double_threshold_estimate_f(stats: SubjectStats, k1, k2):
     """Subject estimator using own coefficients up to k1, leave-one-out pooled
-    coefficients on (k1, k2], zero beyond."""
-    if k1 > k2:
+    coefficients on (k1, k2], zero beyond: the FunctionSeries of length k2
+    for one row, a (rows, width) array for a stack."""
+    if np.any(np.greater(k1, k2)):
         raise ValueError(f"need k1 <= k2, got ({k1}, {k2})")
-    if k2 > stats.width:
+    if np.any(np.greater(k2, stats.width)):
         raise ValueError("k2 exceeds panel width")
-    if k2 == 0:
-        return FunctionSeries.zero()
-    coeffs = np.zeros(k2)
-    coeffs[:k1] = stats.own[:k1]
-    if k2 > k1:
+    conditions, choices = [_before(k1, stats.width)], [stats.own]
+    if np.any(np.greater(k2, k1)):
         if stats.donor_mean is None:
             raise ValueError("leave-one-out pooling needs at least 2 subjects")
-        coeffs[k1:k2] = stats.donor_mean[k1:k2]
-    return FunctionSeries(coeffs)
+        conditions.append(_before(k2, stats.width))
+        choices.append(stats.donor_mean)
+    # built in one array, as a second masking pass would hold one more stack
+    coeffs = np.select(conditions, choices)
+    return FunctionSeries(coeffs[:k2]) if coeffs.ndim == 1 else coeffs
 
 
 def lepskii_thresholds_f(stats: SubjectStats, tau1: float = 4.5, tau2: float = 6.5):
@@ -198,8 +215,10 @@ def lepskii_thresholds_f(stats: SubjectStats, tau1: float = 4.5, tau2: float = 6
     bound2 = math.isqrt(n * m)
     if bound2 > stats.width:
         raise ValueError(f"panel too narrow for search bound {bound2}")
-    k2 = lepskii_min_k(stats.donor_mean**2, tau2, n * m, bound2)
-    k1 = lepskii_min_k((stats.own - stats.donor_mean) ** 2, tau1, n, math.isqrt(n))
+    bound1 = math.isqrt(n)
+    k2 = lepskii_min_k(stats.donor_mean[..., :bound2] ** 2, tau2, n * m, bound2)
+    k1 = lepskii_min_k((stats.own[..., :bound1] - stats.donor_mean[..., :bound1]) ** 2,
+                       tau1, n, bound1)
     return k1, (max(k1, k2) if stats.own.ndim == 1 else np.maximum(k1, k2))
 
 
@@ -207,32 +226,37 @@ def single_subject_threshold(stats: SubjectStats, tau: float = 2.0):
     """Threshold k of the single-subject baseline, from its own coefficients
     alone: k in 1..floor(sqrt(n)) with the comparison bound ``tau * l / (n*m)``.
     An int for one row, one k per row for a stack."""
+    if tau <= 0:
+        raise ValueError("tau must be positive")
     bound = math.isqrt(stats.n)
     if bound > stats.width:
         raise ValueError(f"row too short for search bound {bound}")
-    return lepskii_min_k(stats.own**2, tau, stats.n * stats.m, bound)
+    return lepskii_min_k(stats.own[..., :bound] ** 2, tau, stats.n * stats.m, bound)
 
 
-def single_subject_estimate(stats: SubjectStats, tau: float = 2.0) -> FunctionSeries:
-    """Project one subject's own coefficient row to its data-driven threshold."""
-    return FunctionSeries(stats.own[: single_subject_threshold(stats, tau)])
+def single_subject_estimate(stats: SubjectStats, tau: float = 2.0):
+    """Project one subject's own coefficient row to its data-driven threshold;
+    see :func:`_estimate` for one row against a stack."""
+    return _estimate(stats.own, single_subject_threshold(stats, tau))
 
 
-def posterior_mean_g(stats: SubjectStats, spec: PosteriorSpec) -> FunctionSeries:
+def posterior_mean_g(stats: SubjectStats, spec: PosteriorSpec):
     """Conjugate posterior mean for g: shrink the all-subject pooled mean by
-    ``1 / (zeta_k^{-1} m^{-1} (zeta~_k + 1/n) + 1)``."""
+    ``1 / (zeta_k^{-1} m^{-1} (zeta~_k + 1/n) + 1)``.  A FunctionSeries for
+    one row, a (rows, width) array for a stack."""
     lam = spec.prior_spectrum.eigenvalues(stats.width)
     lamt = spec.deviation_spectrum.eigenvalues(stats.width)
     shrink = 1.0 / ((lamt + 1.0 / stats.n) / (stats.m * lam) + 1.0)
-    return FunctionSeries(shrink * stats.pooled)
+    return _estimate(shrink * stats.pooled)
 
 
-def posterior_mean_f(stats: SubjectStats, spec: PosteriorSpec) -> FunctionSeries:
+def posterior_mean_f(stats: SubjectStats, spec: PosteriorSpec):
     """Conjugate posterior mean for one subject's function.
 
     Combines the subject's own coefficients with the leave-one-out pooled
     mean of the m - 1 donor subjects; with m = 1 it degrades to conjugate
-    shrinkage against the subject's marginal prior variance.
+    shrinkage against the subject's marginal prior variance.  A
+    FunctionSeries for one row, a (rows, width) array for a stack.
     """
     n = stats.n
     width = stats.width
@@ -244,7 +268,7 @@ def posterior_mean_f(stats: SubjectStats, spec: PosteriorSpec) -> FunctionSeries
     c = 1.0 / lam + 1.0 / lamt + donors / (lamt + 1.0 / n)
     a = (1.0 / lamt) * donors / (lamt + 1.0 / n) / c
     b = (1.0 / lam + donors / (lamt + 1.0 / n)) / c
-    return FunctionSeries((own * n + ybar * a) / (n + b / lamt))
+    return _estimate((own * n + ybar * a) / (n + b / lamt))
 
 
 def oracle_thresholds(g_truth: FunctionSeries, deviation_spectrum: Spectrum,

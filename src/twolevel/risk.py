@@ -1,7 +1,8 @@
 """Monte Carlo risk harness and theoretical rate calculator.
 
-The harness draws each replicate's sufficient statistics, fits a plan of
-estimators, and scores each fit by its exact L2 risk (Parseval).  The rate
+The harness draws the sufficient statistics of every replicate of a config
+as one stack, fits each estimator of a plan once on that stack, and scores
+each replicate's fit by its exact L2 risk (Parseval).  The rate
 functions implement the closed-form risk rates (all constants fixed to 1, so
 only slopes and orderings are meaningful) together with their analytic
 cost-weighted gradients.
@@ -16,8 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .basis import FunctionSeries, series_eval
-from .simulate import (ModelConfig, SubjectStats, sample_population, sample_stats,
-                       substream)
+from .simulate import ModelConfig, SubjectStats, sample_stats
 from . import estimators as est
 
 __all__ = [
@@ -68,12 +68,18 @@ def rmspe(estimate: FunctionSeries, test_t, test_y) -> float:
 @dataclass(frozen=True)
 class EstimatorSpec:
     """One entry of a Monte Carlo plan: a label, the target function
-    ("g" or "f", where "f" means subject 0), and a fit on subject 0's
-    statistics."""
+    ("g" or "f", where "f" means subject 0), and a fit.
+
+    ``fit`` receives the (replicates, k_max) stack of subject 0's statistics
+    and returns the (replicates, k_max) array of fitted coefficients, one
+    row per replicate.  Given one row instead, the estimators of
+    :mod:`twolevel.estimators` return a FunctionSeries, so a fit also
+    serves a single dataset.
+    """
 
     label: str
     target: str
-    fit: Callable[[SubjectStats], FunctionSeries]
+    fit: Callable[[SubjectStats], np.ndarray]
 
 
 def adaptive_g(tau: float = 6.5) -> EstimatorSpec:
@@ -186,40 +192,40 @@ class RiskReport:
                 f"{self.median!r},{self.mean!r},{q1!r},{q3!r},{self.mean_log!r}")
 
 
+def _fit_and_score(spec: EstimatorSpec, stats: SubjectStats, truth: np.ndarray):
+    """(per-replicate MISE, failure count, first failure) of one estimator
+    fitted on the stack and scored row by row against ``truth``."""
+    replicates = truth.shape[0]
+    mises = np.full(replicates, np.nan)
+    try:
+        fitted = spec.fit(stats)
+    except (ValueError, np.linalg.LinAlgError) as err:
+        return mises, replicates, f"{type(err).__name__}: {err}"
+    finite = np.flatnonzero(np.isfinite(fitted).all(axis=1))
+    for r in finite:
+        # the arithmetic of parseval_mise over the k_max-wide difference
+        d = fitted[r] - truth[r]
+        mises[r] = d @ d
+    failures = replicates - finite.size
+    return mises, failures, "ValueError: coeffs must be finite" if failures else None
+
+
 def run_monte_carlo(cfg: ModelConfig, plan, replicates: int,
                     seed: int) -> dict[str, RiskReport]:
     """Simulate ``replicates`` sequence-mode datasets and score every
     estimator in the plan by its L2 risk against its target.
 
-    Each replicate draws g and subject 0's statistics (:func:`sample_stats`)
-    from the substream keyed by (seed, r), so results are deterministic
-    given (cfg, plan, replicates, seed).  A fit that raises ``ValueError``
-    or ``LinAlgError`` counts as a failed replicate; any other exception
-    propagates.
+    Replicate r draws g and subject 0's statistics from the substream keyed
+    by (seed, r) (:func:`sample_stats`), so results are deterministic given
+    (cfg, plan, replicates, seed).  Each estimator is fitted once, on the
+    stack of all replicates.  A fit that raises ``ValueError`` or
+    ``LinAlgError`` fails every replicate, and a replicate whose fit is not
+    finite fails alone; any other exception propagates.
     """
-    if replicates < 1:
-        raise ValueError("need at least one replicate")
     if cfg.m < 1:
         raise ValueError(f"need at least 1 subject, got m={cfg.m}")
-    plan = list(plan)
-    mises = {spec.label: np.full(replicates, np.nan) for spec in plan}
-    failures = {spec.label: 0 for spec in plan}
-    first_failure = {}
-    for r in range(replicates):
-        rng = substream(seed, r)
-        g = sample_population(cfg, rng)
-        deviation0, stats = sample_stats(g, cfg, rng)
-        g_coeffs = g.padded(cfg.k_max)
-        truths = {"g": g_coeffs, "f": g_coeffs + deviation0}
-        for spec in plan:
-            try:
-                fitted = spec.fit(stats)
-            except (ValueError, np.linalg.LinAlgError) as err:
-                failures[spec.label] += 1
-                first_failure.setdefault(spec.label, f"{type(err).__name__}: {err}")
-                continue
-            mises[spec.label][r] = parseval_mise(fitted, truths[spec.target])
-
+    g, f0, stats = sample_stats(cfg, seed, replicates)
+    truths = {"g": g, "f": f0}
     config_echo = {
         "n": cfg.n, "m": cfg.m, "k_max": cfg.k_max,
         "alpha": cfg.prior_spectrum.decay, "alpha_scale": cfg.prior_spectrum.scale,
@@ -227,10 +233,12 @@ def run_monte_carlo(cfg: ModelConfig, plan, replicates: int,
         "alpha_tilde_scale": cfg.deviation_spectrum.scale,
         "replicates": replicates, "seed": seed,
     }
-    return {spec.label: RiskReport(spec.label, spec.target, mises[spec.label],
-                                   failures[spec.label], dict(config_echo), seed,
-                                   first_failure.get(spec.label))
-            for spec in plan}
+    reports = {}
+    for spec in plan:
+        mises, failures, first_failure = _fit_and_score(spec, stats, truths[spec.target])
+        reports[spec.label] = RiskReport(spec.label, spec.target, mises, failures,
+                                         dict(config_echo), seed, first_failure)
+    return reports
 
 
 # ---------------------------------------------------------------------------

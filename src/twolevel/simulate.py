@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -135,12 +136,14 @@ class SubjectStats:
     def width(self) -> int:
         return self.own.shape[-1]
 
-    @property
+    @cached_property
     def pooled(self) -> np.ndarray:
-        """Mean row of all m subjects."""
+        """Mean row of all m subjects (one mean row per row of a stack)."""
         if self.donor_mean is None:
             return self.own
-        return (self.own + (self.m - 1) * self.donor_mean) / self.m
+        pooled = (self.own + (self.m - 1) * self.donor_mean) / self.m
+        pooled.setflags(write=False)
+        return pooled
 
 
 @dataclass(frozen=True)
@@ -160,7 +163,7 @@ class MultiSubjectTable:
         for sid, idx, t, y in zip(self.subject_ids, self.indices, self.times, self.values):
             if not idx.size == t.size == y.size:
                 raise ValueError(f"subject {sid}: indices, times and values differ in length")
-            if not np.all(np.diff(t) > 0):
+            if not np.all(t[1:] > t[:-1]):
                 raise ValueError(f"subject {sid}: times must be strictly increasing")
 
     @property
@@ -222,27 +225,47 @@ def sample_panel(g: FunctionSeries, cfg: ModelConfig, rng: np.random.Generator):
     return deviations, CoefficientPanel(n=cfg.n, m=cfg.m, coeffs=coeffs)
 
 
-def sample_stats(g: FunctionSeries, cfg: ModelConfig, rng: np.random.Generator):
-    """Draw subject 0's statistics without the other m - 1 rows.
+def sample_stats(cfg: ModelConfig, seed: int, replicates: int):
+    """Draw subject 0's statistics in ``replicates`` independent datasets,
+    without the other m - 1 rows.
 
-    Subject 0 is f0 = g + e0 with e0_k ~ N(0, lambda~_k), observed as
-    ``own = f0 + n^{-1/2} Z``; the other subjects' mean row is
+    Replicate r draws from ``substream(seed, r)``: g with g_k ~ N(0, lambda_k),
+    subject 0's deviation e0_k ~ N(0, lambda~_k), then Z, then Z' (m > 1
+    only).  Subject 0 is f0 = g + e0, observed as ``own = f0 + n^{-1/2} Z``;
+    the other subjects' mean row is
     ``donor_mean = g + sqrt((lambda~_k + 1/n) / (m - 1)) Z'``.  The rows are
     Gaussian given g, so (g, f0, own, donor_mean) has the same joint law as
     under :func:`sample_panel`, at O(k_max) cost instead of O(m k_max).
-    Draws e0, Z, Z' in that order and returns (e0, SubjectStats).
+
+    Returns the (replicates, k_max) stacks g and f0 and the stacked
+    :class:`SubjectStats`.
     """
-    if len(g) > cfg.k_max:
-        raise ValueError("population series longer than k_max")
-    base = g.padded(cfg.k_max)
+    if replicates < 1:
+        raise ValueError("need at least one replicate")
+    shape = (replicates, cfg.k_max)
+    g, f0, own = np.empty(shape), np.empty(shape), np.empty(shape)
+    donor_mean = np.empty(shape) if cfg.m > 1 else None
+    for r in range(replicates):
+        rng = substream(seed, r)
+        rng.standard_normal(out=g[r])
+        rng.standard_normal(out=f0[r])
+        rng.standard_normal(out=own[r])
+        if donor_mean is not None:
+            rng.standard_normal(out=donor_mean[r])
+    # scaled and summed in place, each element as sd * z, (g + e0) + z / sqrt(n)
+    # and g + donor_sd * z' (IEEE products and sums commute bit for bit)
+    g *= np.sqrt(cfg.prior_spectrum.eigenvalues(cfg.k_max))
+    if not np.all(np.isfinite(g)):
+        raise ValueError("population coefficients must be finite")
     lamt = cfg.deviation_spectrum.eigenvalues(cfg.k_max)
-    deviation0 = np.sqrt(lamt) * rng.standard_normal(cfg.k_max)
-    own = base + deviation0 + rng.standard_normal(cfg.k_max) / math.sqrt(cfg.n)
-    donor_mean = None
-    if cfg.m > 1:
-        donor_sd = np.sqrt((lamt + 1.0 / cfg.n) / (cfg.m - 1))
-        donor_mean = base + donor_sd * rng.standard_normal(cfg.k_max)
-    return deviation0, SubjectStats(cfg.n, cfg.m, own, donor_mean)
+    f0 *= np.sqrt(lamt)
+    f0 += g
+    own /= math.sqrt(cfg.n)
+    own += f0
+    if donor_mean is not None:
+        donor_mean *= np.sqrt((lamt + 1.0 / cfg.n) / (cfg.m - 1))
+        donor_mean += g
+    return g, f0, SubjectStats(cfg.n, cfg.m, own, donor_mean)
 
 
 def build_covariance(spec: Spectrum, points, terms: int) -> np.ndarray:

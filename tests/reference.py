@@ -1,9 +1,14 @@
 """Reference routes the tests compare the library's fast paths against:
-pointwise basis evaluation and grid quadrature of the L2 risk."""
+pointwise basis evaluation, grid quadrature of the L2 risk, and the Monte
+Carlo engine one replicate at a time."""
+
+import math
 
 import numpy as np
 
 from twolevel.basis import FunctionSeries, series_eval
+from twolevel.risk import RiskReport, parseval_mise
+from twolevel.simulate import SubjectStats, sample_population, substream
 
 
 def fourier_eval(k: int, t):
@@ -37,3 +42,44 @@ def empirical_mise(estimate: FunctionSeries, truth_values, grid) -> float:
         raise ValueError("evaluation grid must be nonempty")
     diff = series_eval(estimate, grid) - np.asarray(truth_values, dtype=float)
     return float(np.mean(diff**2))
+
+
+def sample_stats_row(g: FunctionSeries, cfg, rng):
+    """One replicate's draw of subject 0's statistics given g: e0, then Z,
+    then Z' (m > 1 only).  Returns (e0, one-row SubjectStats)."""
+    base = g.padded(cfg.k_max)
+    lamt = cfg.deviation_spectrum.eigenvalues(cfg.k_max)
+    deviation0 = np.sqrt(lamt) * rng.standard_normal(cfg.k_max)
+    own = base + deviation0 + rng.standard_normal(cfg.k_max) / math.sqrt(cfg.n)
+    donor_mean = None
+    if cfg.m > 1:
+        donor_sd = np.sqrt((lamt + 1.0 / cfg.n) / (cfg.m - 1))
+        donor_mean = base + donor_sd * rng.standard_normal(cfg.k_max)
+    return deviation0, SubjectStats(cfg.n, cfg.m, own, donor_mean)
+
+
+def run_monte_carlo_per_replicate(cfg, plan, replicates: int, seed: int):
+    """``run_monte_carlo`` one replicate at a time: draw from the replicate's
+    substream, fit each estimator on the one row (a FunctionSeries) and
+    score it with ``parseval_mise``."""
+    mises = {spec.label: np.full(replicates, np.nan) for spec in plan}
+    failures = {spec.label: 0 for spec in plan}
+    first_failure = {}
+    for r in range(replicates):
+        rng = substream(seed, r)
+        g = sample_population(cfg, rng)
+        deviation0, stats = sample_stats_row(g, cfg, rng)
+        g_coeffs = g.padded(cfg.k_max)
+        truths = {"g": g_coeffs, "f": g_coeffs + deviation0}
+        for spec in plan:
+            try:
+                fitted = spec.fit(stats)
+            except (ValueError, np.linalg.LinAlgError) as err:
+                failures[spec.label] += 1
+                first_failure.setdefault(spec.label, f"{type(err).__name__}: {err}")
+                continue
+            mises[spec.label][r] = parseval_mise(fitted, truths[spec.target])
+    return {spec.label: RiskReport(spec.label, spec.target, mises[spec.label],
+                                   failures[spec.label], {}, seed,
+                                   first_failure.get(spec.label))
+            for spec in plan}

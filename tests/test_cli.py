@@ -205,6 +205,16 @@ class TestDataCommands:
         assert code == 3
         assert "data error" in err and "n = 151" in err
 
+    @pytest.mark.parametrize("flag,message", [("--tau1", "tau values must be positive"),
+                                              ("--tau2", "tau values must be positive"),
+                                              ("--tau-single", "tau must be positive")])
+    def test_nonpositive_tau_is_config_error(self, table_csv, capsys, flag, message):
+        code, out, err = run(capsys, "compare", "--data", str(table_csv), "--test-a", "4",
+                             "--test-b", "-2", "--test-count", "10", flag, "-1")
+        assert code == 2
+        assert err == f"config error: {message}\n"
+        assert out == ""
+
     def test_constant_times_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "constant.csv"
         data.write_text("subject,i,t,y\na,1,5.0,1.0\nb,1,5.0,2.0\n")

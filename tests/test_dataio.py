@@ -131,6 +131,14 @@ class TestParse:
                 "every t is 5.0; cannot rescale t to [0, 1]"
         assert parse_table("subject,i,t,y\na,1,0.5,1.0\nb,1,0.5,2.0\n").times[0] == [0.5]
 
+    def test_time_span_past_float_range(self):
+        # hi - lo overflows: named as the range, not as an ordering fault
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert parse_error("subject,i,t,y\na,1,-1e308,1\na,2,1e308,2\n") == \
+                "t spans [-1e+308, 1e+308], wider than the float range; " \
+                "cannot rescale t to [0, 1]"
+
     @pytest.mark.parametrize("block_lines", [2, dataio.BLOCK_LINES])
     def test_first_bad_line_wins(self, monkeypatch, block_lines):
         # one line short of a column and one over: the comma total still fits

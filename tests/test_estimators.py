@@ -105,6 +105,11 @@ class TestPooling:
                                           pooled_coefficients(panel, exclude_subject=j))
             np.testing.assert_allclose(stats.pooled, pooled_coefficients(panel),
                                        rtol=1e-12, atol=1e-15)
+        # a stack computes its pooled rows once, each as its own row would
+        stack = SubjectStats(20, 6, panel.coeffs, leave_one_out_means(panel))
+        assert stack.pooled is stack.pooled and not stack.pooled.flags.writeable
+        for j in range(6):
+            np.testing.assert_array_equal(stack.pooled[j], subject_stats(panel, j).pooled)
         single = subject_stats(CoefficientPanel(n=4, m=1, coeffs=[[1.0, 2.0]]), 0)
         assert single.donor_mean is None
         np.testing.assert_array_equal(single.pooled, [1.0, 2.0])
@@ -189,6 +194,14 @@ class TestLepskiiSelectors:
             k = single_subject_threshold(SubjectStats(100, 7, row, np.zeros(40)))
             assert k == brute_force_min_k(row**2, 2.0, 700, 10)
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0])
+    def test_single_subject_rejects_nonpositive_tau(self, tau):
+        stats = SubjectStats(100, 7, np.ones(40), np.zeros(40))
+        with pytest.raises(ValueError, match="tau must be positive"):
+            single_subject_threshold(stats, tau)
+        with pytest.raises(ValueError, match="tau must be positive"):
+            single_subject_estimate(stats, tau)
+
     def test_single_subject_estimate_truncates(self):
         stats = SubjectStats(81, 1, [5.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], None)
         est = single_subject_estimate(stats)
@@ -215,6 +228,17 @@ class TestLepskiiSelectors:
         np.testing.assert_array_equal(k2, [w[1] for w in want])
         np.testing.assert_array_equal(single_subject_threshold(stack, tau),
                                       [single_subject_threshold(r, tau) for r in rows])
+        # a stack's estimates are the rows' series, zero-padded to the width
+        k = lepskii_threshold_g(stack, tau)
+        fits = [(threshold_estimate_g(stack, k), [threshold_estimate_g(r, kr)
+                                                  for r, kr in zip(rows, k)]),
+                (double_threshold_estimate_f(stack, k1, k2),
+                 [double_threshold_estimate_f(r, *w) for r, w in zip(rows, want)]),
+                (single_subject_estimate(stack, tau),
+                 [single_subject_estimate(r, tau) for r in rows])]
+        for got, series in fits:
+            assert got.shape == (m, width)
+            np.testing.assert_array_equal(got, [f.padded(width) for f in series])
 
 
 def conditioned_posterior_oracle(panel, spec, k):

@@ -9,7 +9,8 @@ from twolevel.risk import (EstimatorSpec, RateQuery, adaptive_f, adaptive_g,
                            run_monte_carlo, single_subject_f, slope_recovery)
 from twolevel.simulate import ModelConfig
 
-from reference import default_eval_grid_f, default_eval_grid_g, empirical_mise
+from reference import (default_eval_grid_f, default_eval_grid_g, empirical_mise,
+                       run_monte_carlo_per_replicate)
 
 
 class TestScores:
@@ -112,6 +113,24 @@ class TestMonteCarlo:
             assert rep.failures == 0
             assert np.all(np.isfinite(rep.mises))
             assert np.all(rep.mises >= 0)
+
+    @pytest.mark.parametrize("n,m,k_max", [(60, 6, 80), (1, 5000, 71), (7, 2, 6),
+                                           (30, 1, 0), (100, 100, 720)])
+    def test_stack_matches_per_replicate_route(self, n, m, k_max):
+        # the stacked engine draws, fits and scores exactly as the route that
+        # draws, fits and scores one replicate at a time; at m = 1 the
+        # adaptive f rule fails every replicate
+        cfg = ModelConfig(n, m, Spectrum(0.7), Spectrum(0.4), k_max=k_max)
+        spec = PosteriorSpec(Spectrum(1.0), Spectrum(0.5))
+        plan = [adaptive_g(), fixed_g(0.5), adaptive_f(), fixed_f(1.0, 0.5),
+                single_subject_f(), posterior_g(spec), posterior_f(spec)]
+        got = run_monte_carlo(cfg, plan, replicates=12, seed=n + m)
+        want = run_monte_carlo_per_replicate(cfg, plan, replicates=12, seed=n + m)
+        for label, report in want.items():
+            np.testing.assert_array_equal(got[label].mises, report.mises)
+            assert got[label].failures == report.failures
+            assert got[label].first_failure == report.first_failure
+        assert (want[adaptive_f().label].failures == 12) == (m == 1)
 
     def test_failures_counted_not_fatal(self):
         def broken(stats):

@@ -64,16 +64,16 @@ def test_sample_panel_matches_per_subject_draws(n, m, k_max):
 def stats_draws(route, cfg, replicates, seed):
     """(replicates, 5 k_max) rows of (g, f0, own, donor_mean, pooled) for
     subject 0, drawn by ``sample_stats`` or by the full panel."""
+    if route == "stats":
+        g, f0, stats = sample_stats(cfg, seed, replicates)
+        return np.hstack([g, f0, stats.own, stats.donor_mean, stats.pooled])
     rng = substream(seed, 0)
     rows = np.empty((replicates, 5 * cfg.k_max))
     for r in range(replicates):
         g = sample_population(cfg, rng)
-        if route == "stats":
-            deviation0, stats = sample_stats(g, cfg, rng)
-        else:
-            deviations, panel = sample_panel(g, cfg, rng)
-            deviation0, stats = deviations[0], subject_stats(panel, 0)
-        rows[r] = np.concatenate([g.coeffs, g.coeffs + deviation0, stats.own,
+        deviations, panel = sample_panel(g, cfg, rng)
+        stats = subject_stats(panel, 0)
+        rows[r] = np.concatenate([g.coeffs, g.coeffs + deviations[0], stats.own,
                                   stats.donor_mean, stats.pooled])
     return rows
 
@@ -101,9 +101,8 @@ def test_sample_stats_matches_panel_moments():
 
 def test_sample_stats_single_subject():
     cfg = ModelConfig(9, 1, Spectrum(0.5), Spectrum(0.5), k_max=5)
-    g = sample_population(cfg, substream(8, 0))
-    deviation0, stats = sample_stats(g, cfg, substream(8, 1))
-    assert deviation0.shape == (5,)
+    g, f0, stats = sample_stats(cfg, 8, 3)
+    assert g.shape == f0.shape == stats.own.shape == (3, 5)
     assert stats.donor_mean is None
     np.testing.assert_array_equal(stats.pooled, stats.own)
     with pytest.raises(ValueError, match="exactly when"):
