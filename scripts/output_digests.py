@@ -1,11 +1,12 @@
 """Print a SHA-256 digest of every artifact of a fixed set of CLI runs.
 
 The runs cover both Monte Carlo studies, the data comparison on the bundled
-fixture and the oracle check.  Each artifact is hashed with its ``#`` header
-lines dropped, and each run's stdout is hashed as ``<run>/stdout`` with the
-output directory replaced by ``OUT``.  Two checkouts whose printed lines are
-equal produce the same numbers; diff the output of two checkouts to compare
-them.  Imports ``twolevel`` from this checkout's ``src/``.
+fixture and on a simulated 60-subject table, and the oracle check.  Each
+artifact is hashed with its ``#`` header lines dropped, and each run's stdout
+is hashed as ``<run>/stdout`` with the output directory replaced by ``OUT``.
+Two checkouts whose printed lines are equal produce the same numbers; diff
+the output of two checkouts to compare them.  Imports ``twolevel`` from this
+checkout's ``src/``.
 
 Run from anywhere:
 
@@ -32,6 +33,9 @@ RUNS = {
     "study2_b20000": ("study2 --alpha 1.5 --alpha-tilde 0.3 --budget 20000 --density 7 "
                       "--replicates 9 --seed 5"),
     "compare_fixture": f"compare --data {FIXTURE}",
+    "simulate_n151_m60": "simulate --n 151 --m 60 --alpha 0.2 --seed 2",
+    # {OUT} is the temporary output root: this compares the table written above
+    "compare_n151_m60": "compare --data {OUT}/simulate_n151_m60/dataset.csv",
     "oracle_n100_m10": "oracle-check --n 100 --m 10 --alpha 1.0",
     "oracle_n30_m40": "oracle-check --n 30 --m 40 --alpha 0.5 --alpha-tilde 1.0 --seed 4",
 }
@@ -46,7 +50,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp)
         for name, command in RUNS.items():
-            argv = command.split()
+            argv = command.replace("{OUT}", tmp).split()
             if argv[0] == "compare":
                 argv += ["--out", str(out / name / "rmspe.csv")]
             elif argv[0] != "oracle-check":

@@ -16,7 +16,7 @@ from .estimators import (PosteriorSpec, double_threshold_estimate_f,
                          pooled_coefficients, posterior_mean_f,
                          posterior_mean_g, single_subject_estimate,
                          subject_stats, threshold_estimate_g)
-from .risk import (RateQuery, RiskReport, rate_f, rate_g, rate_gradient, rmspe,
+from .risk import (RateQuery, RiskReport, rate_f, rate_g, rate_gradient,
                    run_monte_carlo, slope_recovery)
 from .design import (DesignGrid, DesignPoint, emit_gradient_map, emit_heatmap,
                      enumerate_designs)

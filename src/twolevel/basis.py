@@ -22,6 +22,7 @@ __all__ = [
     "FunctionSeries",
     "SobolevBall",
     "fourier_matrix",
+    "fourier_matrices",
     "series_eval",
     "sobolev_norm_sq",
     "tail_energy",
@@ -86,6 +87,16 @@ def fourier_matrix(grid, width: int) -> np.ndarray:
     out[:, 1::2] = cos_part[:, : (width - 1 + 1) // 2]
     out[:, 2::2] = sin_part[:, : (width - 2 + 1) // 2]
     return out
+
+
+def fourier_matrices(grids, width: int):
+    """Lazily, one :func:`fourier_matrix` per row of the (m, n) ``grids``,
+    rebuilt only where a row differs from the row before it."""
+    grids = np.asarray(grids, dtype=float)
+    rebuild = np.concatenate([[True], (grids[1:] != grids[:-1]).any(axis=1)])
+    for grid, new in zip(grids, rebuild):
+        psi = fourier_matrix(grid, width) if new else psi
+        yield psi
 
 
 @dataclass(frozen=True)

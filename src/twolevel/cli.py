@@ -9,6 +9,7 @@ reproduced byte-exactly from any of its outputs.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -165,6 +166,9 @@ def _cmd_study1(args) -> int:
     elif cfg.k_max < widest:
         raise ConfigError(f"k_max = {cfg.k_max} is below the widest fixed threshold: "
                           f"fixed_g_beta{beta:g} keeps {widest} coefficients")
+    if cfg.m < 2:  # the adaptive f rule pools the other m - 1 subjects
+        raise ConfigError(f"no successful replicates for {adaptive_f(args.tau1, args.tau2).label} "
+                          f"are possible: need at least 2 subjects, got m = {cfg.m}")
     _run_reports(cfg, _default_plan(args), args, args.out, "study1")
     print(f"wrote reports to {args.out}")
     return 0
@@ -274,7 +278,9 @@ def _add_split_flags(p):
     p.add_argument("--tau-single", type=float, default=2.0)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once: parsing leaves no state on it."""
     parser = argparse.ArgumentParser(prog="twolevel",
                                      description="Two-level sampling estimators and design planning")
     sub = parser.add_subparsers(dest="command", required=True)

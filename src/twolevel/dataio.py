@@ -16,7 +16,7 @@ from itertools import compress
 
 import numpy as np
 
-from .basis import fourier_matrix
+from .basis import fourier_matrices
 from .estimators import (empirical_coefficients, leave_one_out_means,
                          lepskii_thresholds_f, single_subject_threshold)
 from .simulate import MultiSubjectTable, SubjectStats
@@ -74,8 +74,7 @@ def parse_table(text: str) -> MultiSubjectTable:
                             f"cannot rescale t to [0, 1]")
         times = (times - lo) / (hi - lo)
     try:
-        table = MultiSubjectTable(ids, tuple(indices), tuple(times), tuple(values),
-                                  rescaled=rescaled)
+        table = MultiSubjectTable(ids, indices, times, values, rescaled=rescaled)
     except ValueError as err:
         # rescaling can merge times that were distinct but far from [0, 1]
         raise DataError(f"after rescaling t to [0, 1]: {err}") from None
@@ -105,11 +104,16 @@ def _parse_blocks(rows: list[str]):
         if len(fields) != 5 * size - 1 or fields[4::5].count("\n") != size - 1:
             return None
         stop = start + size
-        codes[start:stop] = [ids.setdefault(sid, len(ids))
-                             for sid in map(str.strip, fields[0::5])]
+        # ids, i and t repeat: each distinct string is stripped or converted once
+        codes_of = dict.fromkeys(fields[0::5])
+        for raw in codes_of:
+            codes_of[raw] = ids.setdefault(raw.strip(), len(ids))
+        codes[start:stop] = np.fromiter(map(codes_of.__getitem__, fields[0::5]), np.intp, size)
         try:
-            idx[start:stop] = np.fromiter(map(int, fields[1::5]), np.int64, size)
-            t[start:stop] = np.fromiter(map(float, fields[2::5]), float, size)
+            for out, column, convert, dtype in ((idx, fields[1::5], int, np.int64),
+                                                (t, fields[2::5], float, float)):
+                value_of = {s: convert(s) for s in set(column)}
+                out[start:stop] = np.fromiter(map(value_of.__getitem__, column), dtype, size)
             y[start:stop] = np.fromiter(map(float, fields[3::5]), float, size)
         except (ValueError, OverflowError):
             return None
@@ -203,22 +207,26 @@ class SplitSpec:
 
 
 def split(table: MultiSubjectTable, spec: SplitSpec):
-    """Partition every subject's indices into (train table, test table)."""
+    """Partition every subject's indices into (train table, test table); every
+    subject must hold out equally many, as each does in a table parsed from CSV."""
     test_idx = spec.test_indices(table.n)
     if len(set(test_idx.tolist())) == table.n:
         raise DataError(f"test indices cover all n = {table.n} time indices; "
                         f"no training data left")
-    held_out = [np.isin(idx, test_idx) for idx in table.indices]
+    held_out = np.isin(table.indices, test_idx)
+    counts = held_out.sum(axis=1)
+    j = int(np.argmax(counts != counts[0]))
+    if j:
+        raise DataError(f"subjects hold out different numbers of indices: {table.subject_ids[0]} "
+                        f"holds out {counts[0]}, {table.subject_ids[j]} holds out {counts[j]}")
 
-    def take(masks):
-        return MultiSubjectTable(
-            table.subject_ids,
-            tuple(idx[k] for idx, k in zip(table.indices, masks)),
-            tuple(t[k] for t, k in zip(table.times, masks)),
-            tuple(y[k] for y, k in zip(table.values, masks)),
-            rescaled=table.rescaled)
+    def take(mask, width):
+        return MultiSubjectTable(table.subject_ids,
+                                 *(col[mask].reshape(table.m, width) for col in
+                                   (table.indices, table.times, table.values)),
+                                 rescaled=table.rescaled)
 
-    return take([~k for k in held_out]), take(held_out)
+    return take(~held_out, table.n - counts[0]), take(held_out, counts[0])
 
 
 def compare_estimators(table: MultiSubjectTable, spec: SplitSpec,
@@ -226,9 +234,9 @@ def compare_estimators(table: MultiSubjectTable, spec: SplitSpec,
     """Per-subject RMSPE of the single-subject estimator versus the adaptive
     double-thresholding estimator, scored on the held-out indices.
 
-    Every subject's thresholds are selected at once, on the stack of all
-    subjects' statistics.  Warns (:class:`DataWarning`) when the fit width
-    exceeds half the training grid, so that the coefficients are aliased.
+    Every subject's thresholds are selected, and its predictions scored, in
+    one pass over the stack of all subjects.  Warns (:class:`DataWarning`)
+    when the fit width exceeds half the training grid (aliased coefficients).
 
     Returns a list of (subject_id, rmspe_single, rmspe_double) triples.
     """
@@ -243,30 +251,22 @@ def compare_estimators(table: MultiSubjectTable, spec: SplitSpec,
     except ValueError as err:
         # finite y values can still overflow the coefficient or leave-one-out sums
         raise DataError(f"cannot fit the training data: {err}") from None
-    if any(t.size == 0 for t in test.times):
+    if test.n == 0:
         raise ValueError("test set must be nonempty")
     if panel.aliased:
         warnings.warn(f"fit width {width} exceeds n/2 = {n / 2:g} training points per "
                       f"subject; coefficients are aliased", DataWarning, stacklevel=2)
     k_single = single_subject_threshold(stats, tau_single)
     k1, k2 = lepskii_thresholds_f(stats, tau1, tau2)
-    results = []
-    grid_of_psi = None
-    for j, sid in enumerate(table.subject_ids):
-        t_test, y_test = test.times[j], test.values[j]
-        if grid_of_psi is None or not np.array_equal(t_test, grid_of_psi):
-            psi, grid_of_psi = fourier_matrix(t_test, width), t_test
+    # C-contiguous rows: each row's mean is the pairwise sum of a 1-D mean
+    pred = np.empty((2, m, test.n))
+    for j, psi in enumerate(fourier_matrices(test.times, width)):
         single = stats.own[j, :k_single[j]]
         double = np.concatenate([stats.own[j, :k1[j]], stats.donor_mean[j, k1[j]:k2[j]]])
-        results.append((sid, _rmse(psi[:, :single.size] @ single, y_test),
-                        _rmse(psi[:, :double.size] @ double, y_test)))
-    return results
-
-
-def _rmse(prediction: np.ndarray, y: np.ndarray) -> float:
-    # the arithmetic of risk.rmspe
-    diff = prediction - y
-    return float(np.sqrt(np.mean(diff**2)))
+        pred[0, j] = psi[:, :single.size] @ single
+        pred[1, j] = psi[:, :double.size] @ double
+    rmse = np.sqrt(np.mean((pred - test.values) ** 2, axis=-1)).tolist()
+    return list(zip(table.subject_ids, *rmse))
 
 
 def comparison_csv(results) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import FunctionSeries, Spectrum, fourier_matrix
+from .basis import FunctionSeries, Spectrum, fourier_matrices
 from .simulate import CoefficientPanel, MultiSubjectTable, SubjectStats
 
 __all__ = [
@@ -53,20 +53,14 @@ def empirical_coefficients(table: MultiSubjectTable, width: int) -> CoefficientP
     Entry (j, k) is ``(1/n) * sum_i Y_i^(j) psi_k(t_i^(j))``.
 
     The panel is flagged as aliased when ``width`` exceeds half the grid size.
-    The design matrix is rebuilt only where a subject's grid differs from the
-    previous subject's.
+    The design matrix is rebuilt only where the grid changes from one subject to the next.
     """
     if width < 1:
         raise ValueError("width must be >= 1")
-    lengths = {t.size for t in table.times}
-    if len(lengths) != 1:
-        raise ValueError("subjects must share a common grid size")
-    n_obs = lengths.pop()
+    n_obs = table.n
     rows = np.empty((table.m, width))
-    grid_of_psi = None
-    for j, (grid, y) in enumerate(zip(table.times, table.values)):
-        if grid_of_psi is None or not np.array_equal(grid, grid_of_psi):
-            psi, grid_of_psi = fourier_matrix(grid, width), grid
+    # one matvec per row: a single Y @ psi sums in another order
+    for j, (psi, y) in enumerate(zip(fourier_matrices(table.times, width), table.values)):
         rows[j] = psi.T @ y / n_obs
     return CoefficientPanel(n=n_obs, m=table.m, coeffs=rows, aliased=width > n_obs / 2)
 

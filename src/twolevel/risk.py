@@ -16,7 +16,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .basis import FunctionSeries, series_eval
 from .simulate import ModelConfig, SubjectStats, sample_stats
 from . import estimators as est
 
@@ -25,8 +24,6 @@ __all__ = [
     "RateQuery",
     "RateGradient",
     "EstimatorSpec",
-    "parseval_mise",
-    "rmspe",
     "run_monte_carlo",
     "rate_g",
     "rate_f",
@@ -41,24 +38,6 @@ __all__ = [
     "posterior_g",
     "posterior_f",
 ]
-
-
-def parseval_mise(estimate: FunctionSeries, truth) -> float:
-    """Squared L2 distance between the series and a truth given by its
-    coefficients: the sum of squared coefficient differences (Parseval)."""
-    truth = np.asarray(truth, dtype=float)
-    diff = estimate.padded(max(len(estimate), truth.size))
-    diff[: truth.size] -= truth
-    return float(diff @ diff)
-
-
-def rmspe(estimate: FunctionSeries, test_t, test_y) -> float:
-    """Root mean squared prediction error on held-out points."""
-    test_t = np.asarray(test_t, dtype=float)
-    if test_t.size == 0:
-        raise ValueError("test set must be nonempty")
-    diff = series_eval(estimate, test_t) - np.asarray(test_y, dtype=float)
-    return float(np.sqrt(np.mean(diff**2)))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +182,7 @@ def _fit_and_score(spec: EstimatorSpec, stats: SubjectStats, truth: np.ndarray):
         return mises, replicates, f"{type(err).__name__}: {err}"
     finite = np.flatnonzero(np.isfinite(fitted).all(axis=1))
     for r in finite:
-        # the arithmetic of parseval_mise over the k_max-wide difference
+        # exact L2 risk by Parseval: the sum of squared coefficient errors
         d = fitted[r] - truth[r]
         mises[r] = d @ d
     failures = replicates - finite.size

@@ -148,23 +148,33 @@ class SubjectStats:
 
 @dataclass(frozen=True)
 class MultiSubjectTable:
-    """Per-subject curves in the ``subject,i,t,y`` schema: the data pipeline's
+    """Per-subject curves in the ``subject,i,t,y`` schema, as (m, n) arrays with
+    row j for subject j (sequences of rows are stacked): the data pipeline's
     input and the regression-mode simulator's output."""
 
     subject_ids: tuple
-    indices: tuple      # per subject, array of time indices
-    times: tuple        # per subject, array of t in [0, 1]
-    values: tuple       # per subject, array of y
+    indices: np.ndarray     # (m, n) time indices
+    times: np.ndarray       # (m, n) t in [0, 1], strictly increasing along a row
+    values: np.ndarray      # (m, n) y
     rescaled: bool = False
 
     def __post_init__(self):
-        if not len(self.subject_ids) == len(self.indices) == len(self.times) == len(self.values):
+        ids, m = self.subject_ids, len(self.subject_ids)
+        columns = (self.indices, self.times, self.values)
+        if any(len(col) != m for col in columns):
             raise ValueError("need one index, time and value array per subject")
-        for sid, idx, t, y in zip(self.subject_ids, self.indices, self.times, self.values):
-            if not idx.size == t.size == y.size:
-                raise ValueError(f"subject {sid}: indices, times and values differ in length")
-            if not np.all(t[1:] > t[:-1]):
-                raise ValueError(f"subject {sid}: times must be strictly increasing")
+        try:
+            columns = [np.asarray(col).reshape(m, -1 if m else 0) for col in columns]
+        except ValueError:  # rows of unequal length do not stack
+            raise ValueError("subjects must share a common grid size") from None
+        if len({col.shape for col in columns}) > 1:
+            raise ValueError(f"subject {ids[0]}: indices, times and values differ in length")
+        # compared, not subtracted, so that a NaN fails too
+        bad = ~(columns[1][:, 1:] > columns[1][:, :-1]).all(axis=1)
+        if bad.any():
+            raise ValueError(f"subject {ids[bad.argmax()]}: times must be strictly increasing")
+        for name, col in zip(("indices", "times", "values"), columns):
+            object.__setattr__(self, name, col)
 
     @property
     def m(self) -> int:
@@ -172,7 +182,7 @@ class MultiSubjectTable:
 
     @property
     def n(self) -> int:
-        return self.indices[0].size if self.m else 0
+        return self.indices.shape[1]
 
     def to_csv(self) -> str:
         lines = ["subject,i,t,y"]

@@ -1,13 +1,14 @@
 """Reference routes the tests compare the library's fast paths against:
-pointwise basis evaluation, grid quadrature of the L2 risk, and the Monte
-Carlo engine one replicate at a time."""
+pointwise basis evaluation, grid quadrature and Parseval sums of the L2
+risk, RMSPE of one series on held-out points, and the Monte Carlo engine one
+replicate at a time."""
 
 import math
 
 import numpy as np
 
 from twolevel.basis import FunctionSeries, series_eval
-from twolevel.risk import RiskReport, parseval_mise
+from twolevel.risk import RiskReport
 from twolevel.simulate import SubjectStats, sample_population, substream
 
 
@@ -42,6 +43,24 @@ def empirical_mise(estimate: FunctionSeries, truth_values, grid) -> float:
         raise ValueError("evaluation grid must be nonempty")
     diff = series_eval(estimate, grid) - np.asarray(truth_values, dtype=float)
     return float(np.mean(diff**2))
+
+
+def parseval_mise(estimate: FunctionSeries, truth) -> float:
+    """Squared L2 distance between the series and a truth given by its
+    coefficients: the sum of squared coefficient differences (Parseval)."""
+    truth = np.asarray(truth, dtype=float)
+    diff = estimate.padded(max(len(estimate), truth.size))
+    diff[: truth.size] -= truth
+    return float(diff @ diff)
+
+
+def rmspe(estimate: FunctionSeries, test_t, test_y) -> float:
+    """Root mean squared prediction error on held-out points."""
+    test_t = np.asarray(test_t, dtype=float)
+    if test_t.size == 0:
+        raise ValueError("test set must be nonempty")
+    diff = series_eval(estimate, test_t) - np.asarray(test_y, dtype=float)
+    return float(np.sqrt(np.mean(diff**2)))
 
 
 def sample_stats_row(g: FunctionSeries, cfg, rng):

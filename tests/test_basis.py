@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twolevel.basis import (FunctionSeries, SobolevBall, Spectrum, fourier_matrix,
-                            series_eval, sobolev_norm_sq, tail_energy)
+from twolevel import basis
+from twolevel.basis import (FunctionSeries, SobolevBall, Spectrum, fourier_matrices,
+                            fourier_matrix, series_eval, sobolev_norm_sq, tail_energy)
 
 from reference import fourier_eval
 
@@ -59,6 +60,19 @@ class TestFourierBasis:
         psi = fourier_matrix(grid, K)
         gram = psi.T @ psi / grid.size
         np.testing.assert_allclose(gram, np.eye(K), atol=1e-8)
+
+    def test_matrices_rebuilt_only_where_the_grid_changes(self, monkeypatch):
+        grids = np.array([[0.1, 0.5, 0.7], [0.1, 0.5, 0.7], [0.1, 0.5, 0.8],
+                          [0.1, 0.5, 0.7], [0.1, 0.5, 0.7]])
+        built = []
+        monkeypatch.setattr(basis, "fourier_matrix",
+                            lambda grid, width: built.append(grid) or fourier_matrix(grid, width))
+        matrices = list(fourier_matrices(grids, 5))
+        assert [g.tolist() for g in built] == [grids[0].tolist(), grids[2].tolist(),
+                                               grids[3].tolist()]
+        assert matrices[0] is matrices[1] and matrices[3] is matrices[4]
+        for grid, psi in zip(grids, matrices, strict=True):
+            np.testing.assert_array_equal(psi, fourier_matrix(grid, 5))
 
 
 class TestFunctionSeries:

@@ -125,6 +125,18 @@ class TestStudies:
         assert "need at least 2 subjects" in err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_study1_single_subject_fails_before_sampling(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample_stats called")
+        monkeypatch.setattr("twolevel.simulate.sample_stats", refuse)
+        monkeypatch.setattr("twolevel.risk.sample_stats", refuse)
+        code, _, err = run(capsys, "study1", "--n", "30", "--m", "1", "--alpha", "1.0",
+                           "--replicates", "3", "--out", str(tmp_path / "s1"))
+        assert (code, err) == (2, "config error: no successful replicates for "
+                                  "adaptive_f_tau4.5_6.5 are possible: need at least 2 "
+                                  "subjects, got m = 1\n")
+        assert not (tmp_path / "s1").exists()
+
     def test_study1_default_k_max_covers_fixed_thresholds(self, tmp_path, capsys):
         # the README line: fixed_g_beta0.2 keeps ceil(10000^(1/1.4)) = 720
         # coefficients, more than 4 sqrt(n m) = 400
@@ -319,11 +331,29 @@ class TestDispatch:
         assert parser.prog == "twolevel"
 
     def test_python_dash_m(self):
-        src = pathlib.Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "twolevel", "rates", "--n", "100",
-                               "--m", "100", "--alpha", "0.5"],
-                              env=env, capture_output=True, text=True, timeout=60)
+        proc = run_fresh("rates", "--n", "100", "--m", "100", "--alpha", "0.5")
         assert proc.returncode == 0, proc.stderr
         assert "rate_g=" in proc.stdout
+
+    def test_shared_parser_runs_commands_back_to_back(self, capsys):
+        # the parser is built once per process; a parse error in one call and
+        # the subcommand of another must not reach the next call
+        rates = ("rates", "--n", "100", "--m", "100", "--alpha", "0.5")
+        oracle = ("oracle-check", "--n", "30", "--m", "4", "--alpha", "1.0", "--seed", "2")
+        bad = ("rates", "--n", "oops", "--m", "100", "--alpha", "0.5")
+        fresh = {argv: run_fresh(*argv) for argv in (rates, oracle, bad)}
+        assert (fresh[rates].returncode, fresh[oracle].returncode, fresh[bad].returncode) == \
+            (0, 0, 2)
+        assert build_parser() is build_parser()
+        for argv in (rates, bad, oracle, rates, bad):
+            want = fresh[argv]
+            assert run(capsys, *argv) == (want.returncode, want.stdout, want.stderr)
+
+
+def run_fresh(*argv):
+    """One CLI call as ``python -m twolevel`` in a new process."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "twolevel", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)

@@ -15,8 +15,9 @@ from twolevel.dataio import (DataError, DataWarning, MultiSubjectTable, SplitSpe
                              split)
 from twolevel.estimators import (double_threshold_estimate_f, lepskii_thresholds_f,
                                  single_subject_estimate, subject_stats)
-from twolevel.risk import rmspe
 from twolevel.simulate import CoefficientPanel, ModelConfig, simulate_regression
+
+from reference import rmspe
 
 
 def make_table(n=12, m=3, fn=lambda sid, t: np.sin(2 * np.pi * t) + sid):
@@ -165,6 +166,23 @@ class TestParse:
                 np.testing.assert_array_equal(a, b)
                 assert a.dtype == b.dtype
 
+    @pytest.mark.parametrize("block_lines", [1, 3, dataio.BLOCK_LINES])
+    def test_repeated_fields_spelled_differently(self, monkeypatch, block_lines):
+        # the block route converts each distinct string of a column once: other
+        # spellings of one number, and padded ids, must still agree
+        monkeypatch.setattr(dataio, "BLOCK_LINES", block_lines)
+        rows = ["s1,1,0.25,1.5", "s2,01,0.25,2.5", " s1,2,0.5,3.5", "s2, 2,0.50,4.5",
+                "s3,1,0.25,5.5", "s3,2,5e-1,6.5", "s1 ,3,0.75,7.5", "s2,3,0.75,8.5",
+                "s4,1,0.25,9.5", "s4,2, 0.5,10.5", "s3,3,0.75,11.5", "s4,3,.75,12.5"]
+        got = dataio._parse_blocks(rows)
+        want = dataio._parse_lines(["subject,i,t,y"] + rows)
+        assert got[0] == want[0] == ("s1", "s2", "s3", "s4")
+        for a, b in zip(got[1:], want[1:], strict=True):
+            np.testing.assert_array_equal(a, b)
+            assert a.dtype == b.dtype
+        np.testing.assert_array_equal(got[2], np.tile([0.25, 0.5, 0.75], (4, 1)))
+        np.testing.assert_array_equal(got[1], np.tile([1, 2, 3], (4, 1)))
+
     @settings(max_examples=40, deadline=None)
     @given(st.text(alphabet="subject,i\nty0123456789.# -e", max_size=300))
     def test_fuzz_never_crashes_unstructured(self, text):
@@ -243,6 +261,22 @@ class TestSplit:
         np.testing.assert_array_equal(train.indices[1], [2, 7, 8, 9])
         np.testing.assert_array_equal(train.times[1], [0.2, 0.7, 0.8, 0.9])
         np.testing.assert_array_equal(test.values[1], [4.5, 7.5])
+
+
+    def test_empty_test_set(self):
+        table = parse_table(make_table(n=12, m=2))
+        train, test = split(table, SplitSpec(3, -1, 0))
+        assert train.indices.shape == (2, 12) and test.values.shape == (2, 0)
+        with pytest.raises(ValueError, match="^test set must be nonempty$"):
+            compare_estimators(table, SplitSpec(3, -1, 0))
+
+    def test_unequal_hold_out_counts_rejected(self):
+        indices = (np.arange(1, 5), np.array([1, 2, 5, 6]))
+        table = MultiSubjectTable(("a", "b"), indices, tuple(i / 10.0 for i in indices),
+                                  tuple(1.5 * i for i in indices))
+        with pytest.raises(DataError, match="^subjects hold out different numbers of "
+                                            "indices: a holds out 2, b holds out 1$"):
+            split(table, SplitSpec(2, 0, 2))  # held out: 2, 4
 
 
 def reference_comparison(table, spec, tau1=4.5, tau2=6.5, tau_single=2.0):

@@ -4,13 +4,13 @@ import pytest
 from twolevel.basis import FunctionSeries, Spectrum
 from twolevel.estimators import PosteriorSpec
 from twolevel.risk import (EstimatorSpec, RateQuery, adaptive_f, adaptive_g,
-                           fixed_f, fixed_g, parseval_mise, posterior_f,
-                           posterior_g, rate_f, rate_g, rate_gradient, rmspe,
+                           fixed_f, fixed_g, posterior_f,
+                           posterior_g, rate_f, rate_g, rate_gradient,
                            run_monte_carlo, single_subject_f, slope_recovery)
 from twolevel.simulate import ModelConfig
 
 from reference import (default_eval_grid_f, default_eval_grid_g, empirical_mise,
-                       run_monte_carlo_per_replicate)
+                       parseval_mise, rmspe, run_monte_carlo_per_replicate)
 
 
 class TestScores:

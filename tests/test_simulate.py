@@ -292,6 +292,22 @@ class TestRegressionDataset:
             MultiSubjectTable(("1",), (np.arange(1, 3),), (np.array([0.2, 0.1]),),
                               (np.array([1.0, 2.0]),))
 
+    def test_rejects_subjects_of_different_sizes(self):
+        with pytest.raises(ValueError, match="^subjects must share a common grid size$"):
+            MultiSubjectTable(("1", "2"), (np.arange(1, 3), np.arange(1, 4)),
+                              (np.array([0.1, 0.2]), np.array([0.1, 0.2, 0.3])),
+                              (np.zeros(2), np.zeros(3)))
+
+    def test_rows_held_as_one_matrix(self):
+        times = np.array([[0.1, 0.2, 0.3], [0.1, 0.3, 0.3], [0.3, 0.2, 0.1]])
+        with pytest.raises(ValueError, match="^subject b: times must be strictly increasing$"):
+            MultiSubjectTable(("a", "b", "c"), np.tile([1, 2, 3], (3, 1)), times, times)
+        rows = [np.array([0.1, 0.2, 0.3]), np.array([0.2, 0.4, 0.6])]
+        table = MultiSubjectTable(("a", "b"), [np.arange(1, 4)] * 2, rows, rows)
+        assert table.times.shape == table.values.shape == table.indices.shape == (2, 3)
+        np.testing.assert_array_equal(table.times[1], rows[1])
+        assert (table.m, table.n) == (2, 3)
+
 
 def test_default_k_max_covers_search_bound():
     for n, m in [(1, 1), (100, 100), (20, 500)]:
