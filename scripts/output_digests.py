@@ -38,6 +38,8 @@ RUNS = {
     "compare_n151_m60": "compare --data {OUT}/simulate_n151_m60/dataset.csv",
     "oracle_n100_m10": "oracle-check --n 100 --m 10 --alpha 1.0",
     "oracle_n30_m40": "oracle-check --n 30 --m 40 --alpha 0.5 --alpha-tilde 1.0 --seed 4",
+    # its adaptive k1, k2 change when oracle-check's sampler changes
+    "oracle_n50_m20": "oracle-check --n 50 --m 20 --alpha 1.0 --seed 1",
 }
 
 

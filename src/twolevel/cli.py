@@ -19,15 +19,14 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .basis import Spectrum
+from .basis import FunctionSeries, Spectrum
 from .dataio import (DataError, DataWarning, SplitSpec, compare_estimators,
                      comparison_csv, load_table)
-from .design import emit_gradient_map, emit_heatmap, enumerate_designs
-from .estimators import lepskii_thresholds_f, oracle_thresholds, subject_stats
+from .design import _candidates, emit_gradient_map, emit_heatmap, enumerate_designs
+from .estimators import lepskii_thresholds_f, oracle_thresholds
 from .risk import (RateQuery, adaptive_f, adaptive_g, fixed_g, fixed_g_threshold,
                    rate_f, rate_g, run_monte_carlo, single_subject_f)
-from .simulate import (ModelConfig, sample_panel, sample_population,
-                       simulate_regression, substream)
+from .simulate import ModelConfig, sample_stats, simulate_regression
 
 __all__ = ["cli_dispatch", "main"]
 
@@ -87,9 +86,7 @@ def _cmd_heatmap(args) -> int:
     # to the budget, not just the feasible (n * m <= budget) triangle
     if args.budget < 1:
         raise ConfigError("budget must be at least 1")
-    axis = np.unique(np.round(np.logspace(0.0, math.log10(args.budget),
-                                          args.density)).astype(int))
-    axis = axis[axis >= 1]
+    axis = _candidates(args.budget, args.density)
     surface = []
     for n in axis:
         for m in axis:
@@ -112,14 +109,18 @@ def _cmd_heatmap(args) -> int:
 def _cmd_simulate(args) -> int:
     prior, deviation = _spectra(args)
     cfg = ModelConfig(args.n, args.m, prior, deviation, k_max=args.k_max)
+    # compare cannot read a table without rows or with NaN values; none is written
+    if cfg.m < 1:
+        raise ConfigError(f"need at least 1 subject, got m = {cfg.m}")
+    if not args.noise_sd >= 0:
+        raise ConfigError(f"noise_sd must be non-negative, got {args.noise_sd}")
     grid = (np.arange(1, args.n + 1) - 0.5) / args.n
     grids = [grid] * args.m
-    _, _, table = simulate_regression(cfg, grids, args.seed,
-                                      noise_sd=args.noise_sd, sampling=args.sampling)
+    _, _, table = simulate_regression(cfg, grids, args.seed, noise_sd=args.noise_sd)
     os.makedirs(args.out, exist_ok=True)
     config = dict(command="simulate", n=args.n, m=args.m, alpha=args.alpha,
                   alpha_tilde=args.alpha_tilde, noise_sd=args.noise_sd,
-                  sampling=args.sampling, k_max=cfg.k_max, seed=args.seed)
+                  k_max=cfg.k_max, seed=args.seed)
     path = os.path.join(args.out, "dataset.csv")
     _write(path, table.to_csv(), config)
     _write_manifest(args.out, config)
@@ -245,12 +246,12 @@ def _cmd_compare(args) -> int:
 def _cmd_oracle_check(args) -> int:
     prior, deviation = _spectra(args)
     cfg = ModelConfig(args.n, args.m, prior, deviation, k_max=args.k_max)
-    rng = substream(args.seed, 0)
-    g = sample_population(cfg, rng)
-    k1_star, k2_star = oracle_thresholds(g, deviation, cfg.n, cfg.m)
-    _, panel = sample_panel(g, cfg, rng)
-    k1, k2 = lepskii_thresholds_f(subject_stats(panel, 0), tau1=args.tau1, tau2=args.tau2)
-    print(f"oracle k1*={k1_star} k2*={k2_star} adaptive k1={k1} k2={k2}")
+    if cfg.m < 2:  # the adaptive k1 and k2 pool the other m - 1 subjects
+        raise ConfigError(f"need at least 2 subjects, got m = {cfg.m}")
+    g, _, stats = sample_stats(cfg, args.seed, 1)
+    k1_star, k2_star = oracle_thresholds(FunctionSeries(g[0]), deviation, cfg.n, cfg.m)
+    k1, k2 = lepskii_thresholds_f(stats, tau1=args.tau1, tau2=args.tau2)
+    print(f"oracle k1*={k1_star} k2*={k2_star} adaptive k1={k1[0]} k2={k2[0]}")
     return 0
 
 
@@ -313,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a regression dataset CSV")
     _add_model_flags(p)
     p.add_argument("--noise-sd", type=float, default=1.0)
-    p.add_argument("--sampling", choices=("series", "covariance"), default="series")
     p.add_argument("--k-max", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="out")

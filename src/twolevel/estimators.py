@@ -19,8 +19,6 @@ from .simulate import CoefficientPanel, MultiSubjectTable, SubjectStats
 __all__ = [
     "PosteriorSpec",
     "empirical_coefficients",
-    "pooled_coefficients",
-    "subject_stats",
     "leave_one_out_means",
     "threshold_estimate_g",
     "lepskii_min_k",
@@ -65,38 +63,12 @@ def empirical_coefficients(table: MultiSubjectTable, width: int) -> CoefficientP
     return CoefficientPanel(n=n_obs, m=table.m, coeffs=rows, aliased=width > n_obs / 2)
 
 
-def pooled_coefficients(panel: CoefficientPanel, exclude_subject: int | None = None) -> np.ndarray:
-    """Column means of the panel, optionally leaving one subject out.
-
-    ``exclude_subject`` is a 0-based row index.
-    """
-    if exclude_subject is None:
-        return panel.coeffs.mean(axis=0)
-    if panel.m < 2:
-        raise ValueError("leave-one-out pooling needs at least 2 subjects")
-    if not 0 <= exclude_subject < panel.m:
-        raise IndexError(f"subject index out of range: {exclude_subject}")
-    mask = np.ones(panel.m, dtype=bool)
-    mask[exclude_subject] = False
-    return panel.coeffs[mask].mean(axis=0)
-
-
-def subject_stats(panel: CoefficientPanel, subject: int) -> SubjectStats:
-    """The statistics the estimators read of one subject (0-based row) of a
-    panel: its row and the leave-one-out mean of the others."""
-    if not 0 <= subject < panel.m:
-        raise IndexError(f"subject index out of range: {subject}")
-    donor_mean = (pooled_coefficients(panel, exclude_subject=subject)
-                  if panel.m > 1 else None)
-    return SubjectStats(panel.n, panel.m, panel.coeffs[subject], donor_mean)
-
-
 def leave_one_out_means(panel: CoefficientPanel) -> np.ndarray:
     """Row j is the mean of every panel row but row j, for all j at once.
 
-    Bit for bit equal to ``pooled_coefficients(panel, exclude_subject=j)``:
-    each row adds the other rows in index order, as numpy's axis-0 sum does,
-    which ``(colsum - row) / (m - 1)`` would not.  Costs m^2 K / 2 adds.
+    Bit for bit equal to the axis-0 mean of the panel without row j: each row
+    adds the other rows in index order, as numpy's axis-0 sum does, which
+    ``(colsum - row) / (m - 1)`` would not.  Costs m^2 K / 2 adds.
     """
     if panel.m < 2:
         raise ValueError("leave-one-out pooling needs at least 2 subjects")

@@ -20,20 +20,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import FunctionSeries, Spectrum, fourier_matrix, series_eval
+from .basis import FunctionSeries, Spectrum, series_eval
 
 __all__ = [
     "ModelConfig",
     "CoefficientPanel",
     "SubjectStats",
     "MultiSubjectTable",
-    "GridFunction",
     "default_k_max",
     "substream",
     "sample_population",
-    "sample_panel",
     "sample_stats",
-    "build_covariance",
     "study1_grids",
     "simulate_regression",
 ]
@@ -192,47 +189,10 @@ class MultiSubjectTable:
         return "\n".join(lines) + "\n"
 
 
-class GridFunction:
-    """Function known only at a fixed set of points (covariance-route truths)."""
-
-    def __init__(self, points, values):
-        order = np.argsort(np.asarray(points, dtype=float))
-        self.points = np.asarray(points, dtype=float)[order]
-        self.values = np.asarray(values, dtype=float)[order]
-
-    def __call__(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        idx = np.searchsorted(self.points, t)
-        idx = np.clip(idx, 0, self.points.size - 1)
-        if not np.allclose(self.points[idx], t, rtol=0.0, atol=1e-12):
-            raise ValueError("GridFunction evaluated off its support points")
-        return self.values[idx]
-
-
 def sample_population(cfg: ModelConfig, rng: np.random.Generator) -> FunctionSeries:
     """Draw g with independent N(0, lambda_k) coefficients, k = 1..k_max."""
     sd = np.sqrt(cfg.prior_spectrum.eigenvalues(cfg.k_max))
     return FunctionSeries(sd * rng.standard_normal(cfg.k_max))
-
-
-def sample_panel(g: FunctionSeries, cfg: ModelConfig, rng: np.random.Generator):
-    """Draw m subjects f^(j) = g + e^(j), e_k^(j) ~ N(0, lambda~_k), and
-    observe each in sequence mode: f_k^(j) + n^{-1/2} Z_k^(j).
-
-    All m x k_max deviations are drawn before the m x k_max noise, which
-    consumes ``rng`` exactly as drawing subject by subject would.  Returns
-    the (m, k_max) deviation array and the observed panel.
-    """
-    if len(g) > cfg.k_max:
-        raise ValueError("population series longer than k_max")
-    sd = np.sqrt(cfg.deviation_spectrum.eigenvalues(cfg.k_max))
-    deviations = sd * rng.standard_normal((cfg.m, cfg.k_max))
-    coeffs = rng.standard_normal((cfg.m, cfg.k_max))
-    coeffs /= math.sqrt(cfg.n)
-    # noise + (g + e), summed into the noise array: bit for bit the same as
-    # (g + e) + noise, with one m x k_max temporary fewer alive
-    coeffs += g.padded(cfg.k_max) + deviations
-    return deviations, CoefficientPanel(n=cfg.n, m=cfg.m, coeffs=coeffs)
 
 
 def sample_stats(cfg: ModelConfig, seed: int, replicates: int):
@@ -245,7 +205,8 @@ def sample_stats(cfg: ModelConfig, seed: int, replicates: int):
     the other subjects' mean row is
     ``donor_mean = g + sqrt((lambda~_k + 1/n) / (m - 1)) Z'``.  The rows are
     Gaussian given g, so (g, f0, own, donor_mean) has the same joint law as
-    under :func:`sample_panel`, at O(k_max) cost instead of O(m k_max).
+    when all m subjects g + e^(j) are drawn and observed with N(0, 1/n) noise,
+    at O(k_max) cost instead of O(m k_max).
 
     Returns the (replicates, k_max) stacks g and f0 and the stacked
     :class:`SubjectStats`.
@@ -278,22 +239,6 @@ def sample_stats(cfg: ModelConfig, seed: int, replicates: int):
     return g, f0, SubjectStats(cfg.n, cfg.m, own, donor_mean)
 
 
-def build_covariance(spec: Spectrum, points, terms: int) -> np.ndarray:
-    """Finite Mercer sum ``sum_{k<=terms} lambda_k psi_k(s) psi_k(t)``.
-
-    The result is symmetrized; positive semi-definiteness may require a small
-    diagonal jitter (see ``simulate_regression``).
-    """
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    points = np.asarray(points, dtype=float)
-    if points.size == 0:
-        return np.zeros((0, 0))
-    psi = fourier_matrix(points, terms)
-    cov = (psi * spec.eigenvalues(terms)) @ psi.T
-    return 0.5 * (cov + cov.T)
-
-
 def study1_grids(n: int, m: int, j: int, N: int = 20000, eval_count: int = 1000):
     """Disjoint train grid for subject j and the shared evaluation grid.
 
@@ -310,64 +255,26 @@ def study1_grids(n: int, m: int, j: int, N: int = 20000, eval_count: int = 1000)
     return train, eval_grid
 
 
-def _mvn_sample(mean, cov, rng: np.random.Generator):
-    """Cholesky sampler with a trace-scaled PSD repair jitter."""
-    dim = cov.shape[0]
-    if dim == 0:
-        return np.zeros(0)
-    jitter = 1e-10 * np.trace(cov) / dim
-    try:
-        chol = np.linalg.cholesky(cov + jitter * np.eye(dim))
-    except np.linalg.LinAlgError as err:
-        raise np.linalg.LinAlgError(f"covariance not PSD after jitter {jitter:g}") from err
-    return np.asarray(mean) + chol @ rng.standard_normal(dim)
-
-
-def simulate_regression(cfg: ModelConfig, grids, seed: int, noise_sd: float = 1.0,
-                        eval_grid=None, sampling: str = "series"):
+def simulate_regression(cfg: ModelConfig, grids, seed: int, noise_sd: float = 1.0):
     """Generate (g truth, subject truths, MultiSubjectTable).
 
-    ``sampling="series"`` draws g and the deviations as k_max-term series;
-    ``sampling="covariance"`` draws exact multivariate normals from the
-    finite Mercer covariance at the needed points, in which case truths come
-    back as :class:`GridFunction` over the subject's grid plus ``eval_grid``.
-    Subject j = 1..m draws its deviation and then its noise from
-    ``substream(seed, j)`` and is named ``str(j)`` in the table.
+    g and the deviations are drawn as k_max-term series.  g draws from
+    ``substream(seed, 0)``; subject j = 1..m draws its deviation and then its
+    noise from ``substream(seed, j)`` and is named ``str(j)`` in the table.
     """
     grids = [np.asarray(g, dtype=float) for g in grids]
     if len(grids) != cfg.m:
         raise ValueError(f"need {cfg.m} grids, got {len(grids)}")
-    if sampling not in ("series", "covariance"):
-        raise ValueError(f"unknown sampling route {sampling!r}")
-    rng_g = substream(seed, 0)
+    g = sample_population(cfg, substream(seed, 0))
+    base = g.padded(cfg.k_max)
+    dev_sd = np.sqrt(cfg.deviation_spectrum.eigenvalues(cfg.k_max))
     subjects, observations = [], []
-
-    if sampling == "series":
-        g = sample_population(cfg, rng_g)
-        base = g.padded(cfg.k_max)
-        dev_sd = np.sqrt(cfg.deviation_spectrum.eigenvalues(cfg.k_max))
-        for j, grid in enumerate(grids, start=1):
-            rng_j = substream(seed, j)
-            f = FunctionSeries(base + dev_sd * rng_j.standard_normal(cfg.k_max))
-            y = series_eval(f, grid) + noise_sd * rng_j.standard_normal(grid.size)
-            subjects.append(f)
-            observations.append(y)
-    else:
-        eval_grid = np.zeros(0) if eval_grid is None else np.asarray(eval_grid, dtype=float)
-        all_points = np.unique(np.concatenate([eval_grid] + grids))
-        cov_g = build_covariance(cfg.prior_spectrum, all_points, cfg.k_max)
-        g_values = _mvn_sample(np.zeros(all_points.size), cov_g, rng_g)
-        g = GridFunction(all_points, g_values)
-        for j, grid in enumerate(grids, start=1):
-            rng_j = substream(seed, j)
-            pts = np.unique(np.concatenate([eval_grid, grid]))
-            cov_d = build_covariance(cfg.deviation_spectrum, pts, cfg.k_max)
-            dev = _mvn_sample(np.zeros(pts.size), cov_d, rng_j)
-            f = GridFunction(pts, g(pts) + dev)
-            y = f(grid) + noise_sd * rng_j.standard_normal(grid.size)
-            subjects.append(f)
-            observations.append(y)
-
+    for j, grid in enumerate(grids, start=1):
+        rng_j = substream(seed, j)
+        f = FunctionSeries(base + dev_sd * rng_j.standard_normal(cfg.k_max))
+        y = series_eval(f, grid) + noise_sd * rng_j.standard_normal(grid.size)
+        subjects.append(f)
+        observations.append(y)
     table = MultiSubjectTable(tuple(str(j) for j in range(1, cfg.m + 1)),
                               tuple(np.arange(1, grid.size + 1) for grid in grids),
                               tuple(grids), tuple(observations))

@@ -1,15 +1,17 @@
 """Reference routes the tests compare the library's fast paths against:
 pointwise basis evaluation, grid quadrature and Parseval sums of the L2
-risk, RMSPE of one series on held-out points, and the Monte Carlo engine one
-replicate at a time."""
+risk, RMSPE of one series on held-out points, the full m-subject panel
+sampler with its pooled and leave-one-out means, the finite Mercer
+covariance, and the Monte Carlo engine one replicate at a time."""
 
 import math
 
 import numpy as np
 
-from twolevel.basis import FunctionSeries, series_eval
+from twolevel.basis import FunctionSeries, Spectrum, fourier_matrix, series_eval
 from twolevel.risk import RiskReport
-from twolevel.simulate import SubjectStats, sample_population, substream
+from twolevel.simulate import (CoefficientPanel, ModelConfig, SubjectStats,
+                               sample_population, substream)
 
 
 def fourier_eval(k: int, t):
@@ -61,6 +63,68 @@ def rmspe(estimate: FunctionSeries, test_t, test_y) -> float:
         raise ValueError("test set must be nonempty")
     diff = series_eval(estimate, test_t) - np.asarray(test_y, dtype=float)
     return float(np.sqrt(np.mean(diff**2)))
+
+
+def sample_panel(g: FunctionSeries, cfg: ModelConfig, rng: np.random.Generator):
+    """Draw m subjects f^(j) = g + e^(j), e_k^(j) ~ N(0, lambda~_k), and
+    observe each in sequence mode: f_k^(j) + n^{-1/2} Z_k^(j).
+
+    All m x k_max deviations are drawn before the m x k_max noise, which
+    consumes ``rng`` exactly as drawing subject by subject would.  Returns
+    the (m, k_max) deviation array and the observed panel.
+    """
+    if len(g) > cfg.k_max:
+        raise ValueError("population series longer than k_max")
+    sd = np.sqrt(cfg.deviation_spectrum.eigenvalues(cfg.k_max))
+    deviations = sd * rng.standard_normal((cfg.m, cfg.k_max))
+    coeffs = rng.standard_normal((cfg.m, cfg.k_max))
+    coeffs /= math.sqrt(cfg.n)
+    # noise + (g + e), summed into the noise array: bit for bit the same as
+    # (g + e) + noise, with one m x k_max temporary fewer alive
+    coeffs += g.padded(cfg.k_max) + deviations
+    return deviations, CoefficientPanel(n=cfg.n, m=cfg.m, coeffs=coeffs)
+
+
+def pooled_coefficients(panel: CoefficientPanel, exclude_subject: int | None = None) -> np.ndarray:
+    """Column means of the panel, optionally leaving one subject out.
+
+    ``exclude_subject`` is a 0-based row index.
+    """
+    if exclude_subject is None:
+        return panel.coeffs.mean(axis=0)
+    if panel.m < 2:
+        raise ValueError("leave-one-out pooling needs at least 2 subjects")
+    if not 0 <= exclude_subject < panel.m:
+        raise IndexError(f"subject index out of range: {exclude_subject}")
+    mask = np.ones(panel.m, dtype=bool)
+    mask[exclude_subject] = False
+    return panel.coeffs[mask].mean(axis=0)
+
+
+def subject_stats(panel: CoefficientPanel, subject: int) -> SubjectStats:
+    """The statistics the estimators read of one subject (0-based row) of a
+    panel: its row and the leave-one-out mean of the others."""
+    if not 0 <= subject < panel.m:
+        raise IndexError(f"subject index out of range: {subject}")
+    donor_mean = (pooled_coefficients(panel, exclude_subject=subject)
+                  if panel.m > 1 else None)
+    return SubjectStats(panel.n, panel.m, panel.coeffs[subject], donor_mean)
+
+
+def build_covariance(spec: Spectrum, points, terms: int) -> np.ndarray:
+    """Finite Mercer sum ``sum_{k<=terms} lambda_k psi_k(s) psi_k(t)``.
+
+    The result is symmetrized; positive semi-definiteness may require a small
+    diagonal jitter.
+    """
+    if terms < 1:
+        raise ValueError("terms must be >= 1")
+    points = np.asarray(points, dtype=float)
+    if points.size == 0:
+        return np.zeros((0, 0))
+    psi = fourier_matrix(points, terms)
+    cov = (psi * spec.eigenvalues(terms)) @ psi.T
+    return 0.5 * (cov + cov.T)
 
 
 def sample_stats_row(g: FunctionSeries, cfg, rng):

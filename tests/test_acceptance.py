@@ -13,15 +13,15 @@ import pytest
 
 from twolevel.basis import FunctionSeries, Spectrum, fourier_matrix
 from twolevel.dataio import SplitSpec, compare_estimators, comparison_csv, load_table
-from twolevel.estimators import (PosteriorSpec, pooled_coefficients,
-                                 posterior_mean_f, posterior_mean_g,
-                                 subject_stats, threshold_estimate_g)
+from twolevel.estimators import (PosteriorSpec, posterior_mean_f, posterior_mean_g,
+                                 threshold_estimate_g)
 from twolevel.risk import (RateQuery, adaptive_f, adaptive_g, fixed_f, fixed_g,
                            posterior_f, posterior_g, rate_f, rate_g,
                            rate_gradient, run_monte_carlo, single_subject_f,
                            slope_recovery)
-from twolevel.simulate import (CoefficientPanel, ModelConfig, sample_panel,
-                               sample_population, substream)
+from twolevel.simulate import CoefficientPanel, ModelConfig, sample_population, substream
+
+from reference import pooled_coefficients, sample_panel, subject_stats
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 

@@ -7,7 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
+from twolevel.basis import Spectrum
 from twolevel.cli import build_parser, cli_dispatch
+from twolevel.estimators import lepskii_thresholds_f, oracle_thresholds
+from twolevel.simulate import ModelConfig, sample_population, sample_stats, substream
 
 
 def run(capsys, *argv):
@@ -58,6 +61,16 @@ class TestArtifacts:
                          "--out", str(tmp_path))
         assert code == 2
 
+    def test_heatmap_axis_stays_within_fractional_budget(self, tmp_path, capsys):
+        code, _, _ = run(capsys, "heatmap", "--alpha", "0.5", "--budget", "150.7",
+                         "--density", "12", "--out", str(tmp_path))
+        assert code == 0
+        rows = [ln.split(",") for ln in (tmp_path / "heatmap_rate_g.csv").read_text().splitlines()
+                if not ln.startswith("#")][1:]
+        axis = sorted({int(row[0]) for row in rows})
+        assert axis == sorted({int(row[1]) for row in rows})
+        assert axis[0] == 1 and axis[-1] <= 150.7
+
     def test_rerun_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         argv = ["simulate", "--n", "20", "--m", "3", "--alpha", "0.5",
@@ -77,10 +90,9 @@ class TestArtifacts:
         assert "# seed = 37" in head
         assert "subject,i,t,y" in head
 
-    @pytest.mark.parametrize("sampling", ["series", "covariance"])
-    def test_simulate_then_compare(self, tmp_path, capsys, sampling):
+    def test_simulate_then_compare(self, tmp_path, capsys):
         code, _, _ = run(capsys, "simulate", "--n", "151", "--m", "4", "--alpha", "0.5",
-                         "--sampling", sampling, "--seed", "5", "--out", str(tmp_path))
+                         "--seed", "5", "--out", str(tmp_path))
         assert code == 0
         out = tmp_path / "cmp" / "rmspe.csv"
         code, _, err = run(capsys, "compare", "--data", str(tmp_path / "dataset.csv"),
@@ -89,6 +101,30 @@ class TestArtifacts:
         body = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
         assert body[0] == "subject,rmspe_single,rmspe_double,diff"
         assert [ln.split(",")[0] for ln in body[1:]] == ["1", "2", "3", "4"]
+
+    def test_simulate_has_no_sampling_flag(self, tmp_path, capsys):
+        code, _, err = run(capsys, "simulate", "--n", "10", "--m", "2", "--alpha", "0.5",
+                           "--sampling", "series", "--out", str(tmp_path / "sim"))
+        assert code == 2
+        assert "unrecognized arguments: --sampling series" in err
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (("--m", "0"), "need at least 1 subject, got m = 0"),
+        (("--m", "2", "--noise-sd", "-1"), "noise_sd must be non-negative, got -1.0"),
+    ], ids=["m0", "negative-noise"])
+    def test_simulate_rejects_what_compare_cannot_read(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "sim"
+        code, _, err = run(capsys, "simulate", "--n", "10", "--alpha", "0.5", *flags,
+                           "--out", str(out))
+        assert (code, err) == (2, f"config error: {message}\n")
+        assert not out.exists()
+
+    def test_simulate_noiseless(self, tmp_path, capsys):
+        code, _, _ = run(capsys, "simulate", "--n", "10", "--m", "2", "--alpha", "0.5",
+                         "--noise-sd", "0", "--out", str(tmp_path))
+        assert code == 0
+        assert "# noise_sd = 0.0" in (tmp_path / "dataset.csv").read_text().splitlines()
 
 
 class TestStudies:
@@ -298,6 +334,32 @@ class TestOracleCheck:
         assert code == 0
         for token in ("k1*=", "k2*=", "k1=", "k2="):
             assert token in out
+
+    @pytest.mark.parametrize("n,m,alpha,seed", [(50, 20, 1.0, 1), (100, 10, 1.0, 0),
+                                                (30, 40, 0.5, 4), (7, 2, 1.5, 9)])
+    def test_draws_through_the_lab_sampler(self, capsys, n, m, alpha, seed):
+        # the oracle reads g of replicate 0, which is sample_population on its
+        # substream; the adaptive thresholds read that replicate's statistics
+        cfg = ModelConfig(n, m, Spectrum(alpha), Spectrum(0.5))
+        g = sample_population(cfg, substream(seed, 0))
+        k1_star, k2_star = oracle_thresholds(g, Spectrum(0.5), n, m)
+        _, _, stats = sample_stats(cfg, seed, 1)
+        k1, k2 = lepskii_thresholds_f(stats)
+        code, out, err = run(capsys, "oracle-check", "--n", str(n), "--m", str(m),
+                             "--alpha", str(alpha), "--seed", str(seed))
+        assert (code, err) == (0, "")
+        assert out == f"oracle k1*={k1_star} k2*={k2_star} adaptive k1={k1[0]} k2={k2[0]}\n"
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_fewer_than_two_subjects_fail_before_sampling(self, capsys, monkeypatch, m):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample_stats called")
+        monkeypatch.setattr("twolevel.simulate.sample_stats", refuse)
+        monkeypatch.setattr("twolevel.cli.sample_stats", refuse)
+        code, out, err = run(capsys, "oracle-check", "--n", "30", "--m", str(m),
+                             "--alpha", "1.0")
+        assert (code, out) == (2, "")
+        assert err == f"config error: need at least 2 subjects, got m = {m}\n"
 
 
 class TestDispatch:

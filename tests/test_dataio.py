@@ -14,10 +14,10 @@ from twolevel.dataio import (DataError, DataWarning, MultiSubjectTable, SplitSpe
                              compare_estimators, comparison_csv, parse_table,
                              split)
 from twolevel.estimators import (double_threshold_estimate_f, lepskii_thresholds_f,
-                                 single_subject_estimate, subject_stats)
+                                 single_subject_estimate)
 from twolevel.simulate import CoefficientPanel, ModelConfig, simulate_regression
 
-from reference import rmspe
+from reference import rmspe, subject_stats
 
 
 def make_table(n=12, m=3, fn=lambda sid, t: np.sin(2 * np.pi * t) + sid):

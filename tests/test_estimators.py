@@ -11,13 +11,13 @@ from twolevel.estimators import (PosteriorSpec, double_threshold_estimate_f,
                                  empirical_coefficients, leave_one_out_means,
                                  lepskii_min_k, lepskii_threshold_g,
                                  lepskii_thresholds_f, oracle_thresholds,
-                                 pooled_coefficients, posterior_mean_f,
-                                 posterior_mean_g, single_subject_estimate,
-                                 single_subject_threshold, subject_stats,
+                                 posterior_mean_f, posterior_mean_g,
+                                 single_subject_estimate, single_subject_threshold,
                                  threshold_estimate_g)
 from twolevel.simulate import (CoefficientPanel, ModelConfig, SubjectStats,
-                               sample_panel, sample_population,
-                               simulate_regression, substream)
+                               sample_population, simulate_regression, substream)
+
+from reference import pooled_coefficients, sample_panel, subject_stats
 
 
 def brute_force_min_k(sq_terms, tau, denom, bound):

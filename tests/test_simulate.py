@@ -5,13 +5,11 @@ import pytest
 
 from twolevel.basis import FunctionSeries, Spectrum, series_eval
 from twolevel.dataio import parse_table
-from twolevel.estimators import subject_stats
 from twolevel.simulate import (ModelConfig, MultiSubjectTable, SubjectStats,
-                               build_covariance, default_k_max, sample_panel,
-                               sample_population, sample_stats,
+                               default_k_max, sample_population, sample_stats,
                                simulate_regression, study1_grids, substream)
 
-from reference import fourier_eval
+from reference import build_covariance, fourier_eval, sample_panel, subject_stats
 
 
 @pytest.fixture
@@ -244,15 +242,14 @@ class TestSimulateRegression:
         se = target * np.sqrt(2.0 / 20000)
         assert np.var(draws) == pytest.approx(target, abs=3.5 * se)
 
-    def test_covariance_route_matches_moments(self):
+    def test_series_route_matches_mercer_covariance(self):
         dev = Spectrum(0.5)
         cfg = ModelConfig(1, 1, Spectrum(0.5, scale=1e-300), dev, k_max=32)
         grid = np.array([0.2, 0.6])
         draws = []
         for r in range(5000):
-            _, subs, _ = simulate_regression(cfg, [grid], seed=r, noise_sd=0.0,
-                                             sampling="covariance")
-            draws.append(subs[0](grid))
+            _, subs, _ = simulate_regression(cfg, [grid], seed=r, noise_sd=0.0)
+            draws.append(series_eval(subs[0], grid))
         emp = np.cov(np.array(draws).T)
         target = build_covariance(dev, grid, 32)
         np.testing.assert_allclose(emp, target, atol=0.08)
