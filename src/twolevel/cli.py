@@ -26,7 +26,7 @@ from .design import _candidates, emit_gradient_map, emit_heatmap, enumerate_desi
 from .estimators import lepskii_thresholds_f, oracle_thresholds
 from .risk import (RateQuery, adaptive_f, adaptive_g, fixed_g, fixed_g_threshold,
                    rate_f, rate_g, run_monte_carlo, single_subject_f)
-from .simulate import ModelConfig, sample_stats, simulate_regression
+from .simulate import ModelConfig, replicate_normals, sample_stats, simulate_regression
 
 __all__ = ["cli_dispatch", "main"]
 
@@ -58,6 +58,11 @@ def _spectra(args) -> tuple[Spectrum, Spectrum]:
     return Spectrum(args.alpha), Spectrum(args.alpha_tilde)
 
 
+def _check_density(args) -> None:
+    if args.density < 1:
+        raise ConfigError(f"density must be at least 1, got {args.density}")
+
+
 def _cmd_rates(args) -> int:
     q = RateQuery(n=args.n, m=args.m, alpha=args.alpha, alpha_tilde=args.alpha_tilde,
                   cost_n=args.cost_n, cost_m=args.cost_m)
@@ -66,6 +71,7 @@ def _cmd_rates(args) -> int:
 
 
 def _cmd_gradient_map(args) -> int:
+    _check_density(args)
     grid = enumerate_designs(args.budget, args.alpha, args.alpha_tilde,
                              mode=args.budget_mode, cost_n=args.cost_n,
                              cost_m=args.cost_m, density=args.density)
@@ -86,6 +92,7 @@ def _cmd_heatmap(args) -> int:
     # to the budget, not just the feasible (n * m <= budget) triangle
     if args.budget < 1:
         raise ConfigError("budget must be at least 1")
+    _check_density(args)
     axis = _candidates(args.budget, args.density)
     surface = []
     for n in axis:
@@ -176,21 +183,26 @@ def _cmd_study1(args) -> int:
 
 
 def _cmd_study2(args) -> int:
+    _check_density(args)
     grid = enumerate_designs(args.budget, args.alpha, args.alpha_tilde,
                              mode="product", density=args.density)
-    cells = sorted({(p.n, p.m) for p in grid.points})
     prior = Spectrum(args.alpha)
     deviation = Spectrum(args.alpha_tilde)
+    cfgs = [ModelConfig(n, m, prior, deviation)
+            for n, m in sorted({(p.n, p.m) for p in grid.points}) if m >= 2]
+    if not cfgs:
+        raise ConfigError(f"budget {args.budget:g} at density {args.density} admits "
+                          f"no design with at least 2 subjects")
+    # each replicate's stream is drawn once; every cell reads a prefix of it
+    width = max(cfg.stats_width for cfg in cfgs)
+    normals = replicate_normals(args.seed, args.replicates, width)
+    plan = [adaptive_g(args.tau), adaptive_f(args.tau1, args.tau2)]
     surface_g, surface_f = [], []
-    for n, m in cells:
-        if m < 2:
-            continue
-        cfg = ModelConfig(n, m, prior, deviation)
-        plan = [adaptive_g(args.tau), adaptive_f(args.tau1, args.tau2)]
-        reports = run_monte_carlo(cfg, plan, args.replicates, args.seed)
+    for cfg in cfgs:
+        reports = run_monte_carlo(cfg, plan, args.replicates, args.seed, normals)
         for report in reports.values():
             target_surface = surface_g if report.target == "g" else surface_f
-            target_surface.append((n, m, report.mean_log))
+            target_surface.append((cfg.n, cfg.m, report.mean_log))
     os.makedirs(args.out, exist_ok=True)
     config = dict(command="study2", budget=args.budget, alpha=args.alpha,
                   alpha_tilde=args.alpha_tilde, density=args.density,
@@ -248,7 +260,7 @@ def _cmd_oracle_check(args) -> int:
     cfg = ModelConfig(args.n, args.m, prior, deviation, k_max=args.k_max)
     if cfg.m < 2:  # the adaptive k1 and k2 pool the other m - 1 subjects
         raise ConfigError(f"need at least 2 subjects, got m = {cfg.m}")
-    g, _, stats = sample_stats(cfg, args.seed, 1)
+    g, _, stats = sample_stats(cfg, replicate_normals(args.seed, 1, cfg.stats_width))
     k1_star, k2_star = oracle_thresholds(FunctionSeries(g[0]), deviation, cfg.n, cfg.m)
     k1, k2 = lepskii_thresholds_f(stats, tau1=args.tau1, tau2=args.tau2)
     print(f"oracle k1*={k1_star} k2*={k2_star} adaptive k1={k1[0]} k2={k2[0]}")

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .simulate import ModelConfig, SubjectStats, sample_stats
+from .simulate import ModelConfig, SubjectStats, replicate_normals, sample_stats
 from . import estimators as est
 
 __all__ = [
@@ -189,21 +189,31 @@ def _fit_and_score(spec: EstimatorSpec, stats: SubjectStats, truth: np.ndarray):
     return mises, failures, "ValueError: coeffs must be finite" if failures else None
 
 
-def run_monte_carlo(cfg: ModelConfig, plan, replicates: int,
-                    seed: int) -> dict[str, RiskReport]:
+def run_monte_carlo(cfg: ModelConfig, plan, replicates: int, seed: int,
+                    normals: np.ndarray | None = None) -> dict[str, RiskReport]:
     """Simulate ``replicates`` sequence-mode datasets and score every
     estimator in the plan by its L2 risk against its target.
 
-    Replicate r draws g and subject 0's statistics from the substream keyed
-    by (seed, r) (:func:`sample_stats`), so results are deterministic given
-    (cfg, plan, replicates, seed).  Each estimator is fitted once, on the
-    stack of all replicates.  A fit that raises ``ValueError`` or
-    ``LinAlgError`` fails every replicate, and a replicate whose fit is not
-    finite fails alone; any other exception propagates.
+    Replicate r reads g and subject 0's statistics from the first
+    ``cfg.stats_width`` normals of the substream keyed by (seed, r)
+    (:func:`sample_stats`), so results are deterministic given (cfg, plan,
+    replicates, seed).  A command that runs several configs draws those
+    streams once, as ``normals = replicate_normals(seed, replicates, width)``
+    with the width its widest config needs, and passes the block to each
+    config, which reads a prefix of every row: the configs share their random
+    numbers.  Without ``normals`` the block is drawn here.  Each estimator is
+    fitted once, on the stack of all replicates.  A fit that raises
+    ``ValueError`` or ``LinAlgError`` fails every replicate, and a replicate
+    whose fit is not finite fails alone; any other exception propagates.
     """
     if cfg.m < 1:
         raise ValueError(f"need at least 1 subject, got m={cfg.m}")
-    g, f0, stats = sample_stats(cfg, seed, replicates)
+    if normals is None:
+        normals = replicate_normals(seed, replicates, cfg.stats_width)
+    elif len(normals) != replicates:
+        raise ValueError(f"need {replicates} rows of normals, got {len(normals)}")
+    g, f0, stats = sample_stats(cfg, normals)
+    del normals  # a block drawn here is not held while the plan is fitted
     truths = {"g": g, "f": f0}
     config_echo = {
         "n": cfg.n, "m": cfg.m, "k_max": cfg.k_max,

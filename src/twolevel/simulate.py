@@ -7,9 +7,11 @@ Two observation modes are supported:
 * ``regression``: each subject is observed at fixed grid points in [0, 1]
   with i.i.d. N(0, noise_sd^2) errors, giving a ``subject,i,t,y`` table.
 
-All randomness flows through a master seed; every (replicate, subject) pair
-consumes its own counter-derived substream so results do not depend on
-execution order.
+All randomness flows through a master seed and counter-derived substreams,
+so results do not depend on execution order.  In sequence mode replicate r
+reads the standard normals of ``substream(seed, r)``, drawn once per command
+(:func:`replicate_normals`); in regression mode g and each subject j draw
+from ``substream(seed, 0)`` and ``substream(seed, j)``.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "MultiSubjectTable",
     "default_k_max",
     "substream",
+    "replicate_normals",
     "sample_population",
     "sample_stats",
     "study1_grids",
@@ -67,6 +70,12 @@ class ModelConfig:
             object.__setattr__(self, "k_max", default_k_max(self.n, max(self.m, 1)))
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
+
+    @property
+    def stats_width(self) -> int:
+        """Standard normals one sequence-mode replicate reads
+        (:func:`sample_stats`): g, e0, Z and, when m > 1, Z', k_max each."""
+        return (4 if self.m > 1 else 3) * self.k_max
 
 
 @dataclass(frozen=True)
@@ -121,12 +130,17 @@ class SubjectStats:
         if len(shape) not in (1, 2):
             raise ValueError(f"own must be one row or a stack of rows, got shape {shape}")
         for name in ("own", "donor_mean") if self.m > 1 else ("own",):
-            row = np.array(getattr(self, name), dtype=float)
+            row = getattr(self, name)
+            # a read-only float array is kept as given; anything else is copied,
+            # so that the caller cannot change the stats afterwards
+            if not (isinstance(row, np.ndarray) and row.dtype == np.float64
+                    and not row.flags.writeable):
+                row = np.array(row, dtype=float)
+                row.setflags(write=False)
             if row.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {row.shape}")
             if not np.all(np.isfinite(row)):
                 raise ValueError(f"{name} has non-finite entries")
-            row.setflags(write=False)
             object.__setattr__(self, name, row)
 
     @property
@@ -195,47 +209,63 @@ def sample_population(cfg: ModelConfig, rng: np.random.Generator) -> FunctionSer
     return FunctionSeries(sd * rng.standard_normal(cfg.k_max))
 
 
-def sample_stats(cfg: ModelConfig, seed: int, replicates: int):
-    """Draw subject 0's statistics in ``replicates`` independent datasets,
-    without the other m - 1 rows.
+def replicate_normals(seed: int, replicates: int, width: int) -> np.ndarray:
+    """(replicates, width) block of standard normals whose row r is the first
+    ``width`` draws of ``substream(seed, r)``.
 
-    Replicate r draws from ``substream(seed, r)``: g with g_k ~ N(0, lambda_k),
-    subject 0's deviation e0_k ~ N(0, lambda~_k), then Z, then Z' (m > 1
-    only).  Subject 0 is f0 = g + e0, observed as ``own = f0 + n^{-1/2} Z``;
-    the other subjects' mean row is
-    ``donor_mean = g + sqrt((lambda~_k + 1/n) / (m - 1)) Z'``.  The rows are
-    Gaussian given g, so (g, f0, own, donor_mean) has the same joint law as
-    when all m subjects g + e^(j) are drawn and observed with N(0, 1/n) noise,
-    at O(k_max) cost instead of O(m k_max).
-
-    Returns the (replicates, k_max) stacks g and f0 and the stacked
-    :class:`SubjectStats`.
+    A command draws this block once and every config it runs reads a prefix
+    of each row (:func:`sample_stats`), so the configs of one run share their
+    random numbers: a size-w draw of a stream is bit for bit the first w
+    values of a longer draw.
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
-    shape = (replicates, cfg.k_max)
-    g, f0, own = np.empty(shape), np.empty(shape), np.empty(shape)
-    donor_mean = np.empty(shape) if cfg.m > 1 else None
-    for r in range(replicates):
-        rng = substream(seed, r)
-        rng.standard_normal(out=g[r])
-        rng.standard_normal(out=f0[r])
-        rng.standard_normal(out=own[r])
-        if donor_mean is not None:
-            rng.standard_normal(out=donor_mean[r])
-    # scaled and summed in place, each element as sd * z, (g + e0) + z / sqrt(n)
-    # and g + donor_sd * z' (IEEE products and sums commute bit for bit)
-    g *= np.sqrt(cfg.prior_spectrum.eigenvalues(cfg.k_max))
+    normals = np.empty((replicates, width))
+    for r, row in enumerate(normals):
+        substream(seed, r).standard_normal(out=row)
+    return normals
+
+
+def sample_stats(cfg: ModelConfig, normals: np.ndarray):
+    """Subject 0's statistics in ``len(normals)`` independent datasets,
+    without the other m - 1 rows.
+
+    Row r of ``normals`` holds replicate r's standard normals
+    (:func:`replicate_normals`).  The config reads the first
+    ``cfg.stats_width`` of them as the consecutive k_max-wide slices g, e0, Z
+    and Z' (m > 1 only): g with g_k ~ N(0, lambda_k) and subject 0's
+    deviation e0_k ~ N(0, lambda~_k).  Subject 0 is f0 = g + e0, observed as
+    ``own = f0 + n^{-1/2} Z``; the other subjects' mean row is
+    ``donor_mean = g + sqrt((lambda~_k + 1/n) / (m - 1)) Z'``.  The rows are
+    Gaussian given g, so (g, f0, own, donor_mean) has the same joint law as
+    when all m subjects g + e^(j) are drawn and observed with N(0, 1/n) noise,
+    at O(k_max) cost instead of O(m k_max).  ``normals`` is only read, so the
+    configs of one command can share it.
+
+    Returns the (replicates, k_max) stacks g and f0 and the stacked
+    :class:`SubjectStats`, whose stacks are read-only.
+    """
+    k = cfg.k_max
+    if normals.ndim != 2 or normals.shape[1] < cfg.stats_width:
+        raise ValueError(f"need (replicates, >= {cfg.stats_width}) normals, "
+                         f"got shape {normals.shape}")
+    g_z, e0_z, z, donor_z = (normals[:, i * k:(i + 1) * k] for i in range(4))
+    # each element as sd * z, (g + e0) + z / sqrt(n) and g + donor_sd * z'
+    # (IEEE products and sums commute bit for bit)
+    g = g_z * np.sqrt(cfg.prior_spectrum.eigenvalues(k))
     if not np.all(np.isfinite(g)):
         raise ValueError("population coefficients must be finite")
-    lamt = cfg.deviation_spectrum.eigenvalues(cfg.k_max)
-    f0 *= np.sqrt(lamt)
+    lamt = cfg.deviation_spectrum.eigenvalues(k)
+    f0 = e0_z * np.sqrt(lamt)
     f0 += g
-    own /= math.sqrt(cfg.n)
+    own = z / math.sqrt(cfg.n)
     own += f0
-    if donor_mean is not None:
-        donor_mean *= np.sqrt((lamt + 1.0 / cfg.n) / (cfg.m - 1))
+    own.setflags(write=False)
+    donor_mean = None
+    if cfg.m > 1:
+        donor_mean = donor_z * np.sqrt((lamt + 1.0 / cfg.n) / (cfg.m - 1))
         donor_mean += g
+        donor_mean.setflags(write=False)
     return g, f0, SubjectStats(cfg.n, cfg.m, own, donor_mean)
 
 

@@ -10,7 +10,8 @@ import pytest
 from twolevel.basis import Spectrum
 from twolevel.cli import build_parser, cli_dispatch
 from twolevel.estimators import lepskii_thresholds_f, oracle_thresholds
-from twolevel.simulate import ModelConfig, sample_population, sample_stats, substream
+from twolevel.simulate import (ModelConfig, replicate_normals, sample_population,
+                               sample_stats, substream)
 
 
 def run(capsys, *argv):
@@ -151,6 +152,42 @@ class TestStudies:
         assert code == 0
         assert (out / "heatmap_mise_g.svg").exists()
         assert (out / "heatmap_mise_f.csv").exists()
+
+    def test_study2_draws_each_replicate_stream_once(self, tmp_path, capsys, monkeypatch):
+        # every cell reads a prefix of one shared block, so the run keys one
+        # substream per replicate, not one per replicate and cell
+        from twolevel import simulate
+        keys = []
+
+        def counting(seed, *key):
+            keys.append((seed, *key))
+            return substream(seed, *key)
+        monkeypatch.setattr(simulate, "substream", counting)
+        code, _, err = run(capsys, "study2", "--alpha", "1.0", "--budget", "120",
+                           "--density", "4", "--replicates", "3", "--seed", "7",
+                           "--out", str(tmp_path / "s2"))
+        assert code == 0, err
+        assert keys == [(7, 0), (7, 1), (7, 2)]
+
+    @pytest.mark.parametrize("budget,density", [("1", "6"), ("3", "1")])
+    def test_study2_without_a_two_subject_cell_is_config_error(self, tmp_path, capsys,
+                                                               budget, density):
+        code, out, err = run(capsys, "study2", "--alpha", "1.0", "--budget", budget,
+                             "--density", density, "--replicates", "2",
+                             "--out", str(tmp_path / "s2"))
+        assert (code, out) == (2, "")
+        assert err == (f"config error: budget {budget} at density {density} admits "
+                       f"no design with at least 2 subjects\n")
+        assert not (tmp_path / "s2").exists()
+
+    @pytest.mark.parametrize("density", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["heatmap", "gradient-map", "study2"])
+    def test_density_below_one_is_config_error(self, tmp_path, capsys, command, density):
+        code, out, err = run(capsys, command, "--alpha", "1.0", "--density", density,
+                             "--out", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert err == f"config error: density must be at least 1, got {density}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_study1_single_subject_names_cause_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "s1"
@@ -343,7 +380,7 @@ class TestOracleCheck:
         cfg = ModelConfig(n, m, Spectrum(alpha), Spectrum(0.5))
         g = sample_population(cfg, substream(seed, 0))
         k1_star, k2_star = oracle_thresholds(g, Spectrum(0.5), n, m)
-        _, _, stats = sample_stats(cfg, seed, 1)
+        _, _, stats = sample_stats(cfg, replicate_normals(seed, 1, cfg.stats_width))
         k1, k2 = lepskii_thresholds_f(stats)
         code, out, err = run(capsys, "oracle-check", "--n", str(n), "--m", str(m),
                              "--alpha", str(alpha), "--seed", str(seed))

@@ -21,9 +21,14 @@ from reference import pooled_coefficients, sample_panel, subject_stats
 
 
 def brute_force_min_k(sq_terms, tau, denom, bound):
-    """Direct translation of the selection rule, quadratic time."""
+    """The selection rule checked pair by pair, quadratic time: k qualifies
+    when the sum of terms k+1..l, taken as partial[l] - partial[k] of the
+    running sums, is within tau*l/denom for every l in (k, bound].  Written
+    as partial[l] - tau*l/denom <= partial[k], the kernel's form, so that
+    exact ties round as in the kernel."""
+    partial = np.cumsum(sq_terms[:bound])
     for k in range(1, bound + 1):
-        if all(sum(sq_terms[k:l]) <= tau * l / denom
+        if all(partial[l - 1] - tau * l / denom <= partial[k - 1]
                for l in range(k + 1, bound + 1)):
             return k
     return bound
@@ -66,6 +71,20 @@ class TestLepskiiCore:
         for bound in (1, data.draw(st.integers(1, width)), width):
             ks = lepskii_min_k(sq, tau, denom, bound)
             assert ks.tolist() == [brute_force_min_k(row, tau, denom, bound) for row in sq]
+
+    @pytest.mark.parametrize("value,copies,denom,want", [
+        (6.535987763743988, 11, 1.1, 2),
+        (2.803935022697867, 27, 4.5, 22),
+    ])
+    def test_exact_ties(self, value, copies, denom, want):
+        # equal terms, with tau equal to the term, put a sum level with its
+        # bound (10 terms against 11/1.1 at k = 1, l = 11; 6 against 27/4.5
+        # at k = 21, l = 27), where rounding decides
+        sq = np.full(copies, value)
+        assert lepskii_min_k(sq, value, denom, copies) == want
+        assert brute_force_min_k(sq, value, denom, copies) == want
+        rows = np.vstack([sq, sq])
+        assert lepskii_min_k(rows, value, denom, copies).tolist() == [want, want]
 
 
 class TestEmpiricalCoefficients:

@@ -7,7 +7,7 @@ from twolevel.risk import (EstimatorSpec, RateQuery, adaptive_f, adaptive_g,
                            fixed_f, fixed_g, posterior_f,
                            posterior_g, rate_f, rate_g, rate_gradient,
                            run_monte_carlo, single_subject_f, slope_recovery)
-from twolevel.simulate import ModelConfig
+from twolevel.simulate import ModelConfig, replicate_normals
 
 from reference import (default_eval_grid_f, default_eval_grid_g, empirical_mise,
                        parseval_mise, rmspe, run_monte_carlo_per_replicate)
@@ -131,6 +131,22 @@ class TestMonteCarlo:
             assert got[label].failures == report.failures
             assert got[label].first_failure == report.first_failure
         assert (want[adaptive_f().label].failures == 12) == (m == 1)
+
+    @pytest.mark.parametrize("n,m,k_max", [(60, 6, 80), (1, 5000, 71), (30, 1, 9)])
+    def test_shared_block_gives_the_same_reports(self, n, m, k_max):
+        # a block drawn once for a wider config, as study2 shares it across
+        # its cells, scores every replicate as the config's own draw
+        cfg = ModelConfig(n, m, Spectrum(0.7), Spectrum(0.4), k_max=k_max)
+        plan = [adaptive_g(), adaptive_f(), posterior_g(PosteriorSpec(Spectrum(1.0),
+                                                                      Spectrum(0.5)))]
+        shared = replicate_normals(5, 10, 4 * 283)
+        got = run_monte_carlo(cfg, plan, 10, 5, shared)
+        want = run_monte_carlo(cfg, plan, 10, 5)
+        for label, report in want.items():
+            np.testing.assert_array_equal(got[label].mises, report.mises)
+            assert got[label].failures == report.failures
+        with pytest.raises(ValueError, match="need 9 rows of normals, got 10"):
+            run_monte_carlo(cfg, plan, 9, 5, shared)
 
     def test_failures_counted_not_fatal(self):
         def broken(stats):

@@ -6,8 +6,9 @@ import pytest
 from twolevel.basis import FunctionSeries, Spectrum, series_eval
 from twolevel.dataio import parse_table
 from twolevel.simulate import (ModelConfig, MultiSubjectTable, SubjectStats,
-                               default_k_max, sample_population, sample_stats,
-                               simulate_regression, study1_grids, substream)
+                               default_k_max, replicate_normals, sample_population,
+                               sample_stats, simulate_regression, study1_grids,
+                               substream)
 
 from reference import build_covariance, fourier_eval, sample_panel, subject_stats
 
@@ -63,7 +64,7 @@ def stats_draws(route, cfg, replicates, seed):
     """(replicates, 5 k_max) rows of (g, f0, own, donor_mean, pooled) for
     subject 0, drawn by ``sample_stats`` or by the full panel."""
     if route == "stats":
-        g, f0, stats = sample_stats(cfg, seed, replicates)
+        g, f0, stats = sample_stats(cfg, replicate_normals(seed, replicates, cfg.stats_width))
         return np.hstack([g, f0, stats.own, stats.donor_mean, stats.pooled])
     rng = substream(seed, 0)
     rows = np.empty((replicates, 5 * cfg.k_max))
@@ -99,12 +100,60 @@ def test_sample_stats_matches_panel_moments():
 
 def test_sample_stats_single_subject():
     cfg = ModelConfig(9, 1, Spectrum(0.5), Spectrum(0.5), k_max=5)
-    g, f0, stats = sample_stats(cfg, 8, 3)
+    g, f0, stats = sample_stats(cfg, replicate_normals(8, 3, cfg.stats_width))
     assert g.shape == f0.shape == stats.own.shape == (3, 5)
     assert stats.donor_mean is None
     np.testing.assert_array_equal(stats.pooled, stats.own)
     with pytest.raises(ValueError, match="exactly when"):
         SubjectStats(9, 2, stats.own, None)
+
+
+def test_replicate_normals_rows_are_substream_prefixes():
+    block = replicate_normals(4, 3, 50)
+    assert block.shape == (3, 50)
+    for r in range(3):
+        np.testing.assert_array_equal(block[r], substream(4, r).standard_normal(50))
+    np.testing.assert_array_equal(replicate_normals(4, 3, 17), block[:, :17])
+    with pytest.raises(ValueError, match="at least one replicate"):
+        replicate_normals(4, 0, 50)
+
+
+@pytest.mark.parametrize("m", [1, 2, 9])
+@pytest.mark.parametrize("k_max", [1, 6, 40])
+def test_sample_stats_reads_a_prefix_of_a_wider_block(m, k_max):
+    # a block drawn for a wider config splits exactly as one of this
+    # config's own width: [g | e0 | Z] at m = 1, [g | e0 | Z | Z'] above
+    cfg = ModelConfig(5, m, Spectrum(0.5), Spectrum(1.0), k_max=k_max)
+    own_width = (3 if m == 1 else 4) * k_max
+    wide = replicate_normals(11, 4, 4 * 53)
+    wide.setflags(write=False)  # only read: configs of one command share it
+    got = sample_stats(cfg, wide)
+    want = sample_stats(cfg, replicate_normals(11, 4, own_width))
+    for a, b in ((got[0], want[0]), (got[1], want[1]),
+                 (got[2].own, want[2].own), (got[2].pooled, want[2].pooled)):
+        assert a.shape == (4, k_max) and np.array_equal(a, b)
+    if m == 1:
+        assert got[2].donor_mean is None and want[2].donor_mean is None
+    else:
+        assert np.array_equal(got[2].donor_mean, want[2].donor_mean)
+    with pytest.raises(ValueError, match=f">= {own_width}"):
+        sample_stats(cfg, replicate_normals(11, 4, own_width - 1))
+
+
+def test_subject_stats_keeps_read_only_stacks_and_copies_writable_ones():
+    cfg = ModelConfig(9, 3, Spectrum(0.5), Spectrum(0.5), k_max=4)
+    _, _, stats = sample_stats(cfg, replicate_normals(2, 5, cfg.stats_width))
+    assert not stats.own.flags.writeable and not stats.donor_mean.flags.writeable
+    kept = SubjectStats(9, 3, stats.own, stats.donor_mean)
+    assert kept.own is stats.own and kept.donor_mean is stats.donor_mean
+    own, donor = np.array(stats.own), np.array(stats.donor_mean)
+    copied = SubjectStats(9, 3, own, donor)
+    assert copied.own is not own and copied.donor_mean is not donor
+    own[0, 0] += 1.0
+    donor[0, 0] += 1.0
+    np.testing.assert_array_equal(copied.own, stats.own)
+    np.testing.assert_array_equal(copied.donor_mean, stats.donor_mean)
+    assert not copied.own.flags.writeable and not copied.donor_mean.flags.writeable
 
 
 class TestSampleSubjects:
