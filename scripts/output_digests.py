@@ -1,16 +1,21 @@
 """Print a SHA-256 digest of every artifact of a fixed set of CLI runs.
 
 The runs cover both Monte Carlo studies, the data comparison on the bundled
-fixture and on a simulated 60-subject table, and the oracle check.  Each
+fixture and on a simulated 60-subject table, the oracle check, the rate
+printout, a rate heatmap and gradient maps under both budget modes.  Each
 artifact is hashed with its ``#`` header lines dropped, and each run's stdout
 is hashed as ``<run>/stdout`` with the output directory replaced by ``OUT``.
-Two checkouts whose printed lines are equal produce the same numbers; diff
-the output of two checkouts to compare them.  Imports ``twolevel`` from this
-checkout's ``src/``.
+Manifests and SVG comments keep their ``twolevel = <version>`` line, so a
+version bump changes their digests.  Two checkouts whose printed lines are
+equal produce the same numbers; diff the output of two checkouts to compare
+them.  The first lines, starting with ``#``, record the numpy and twolevel
+versions.  Imports ``twolevel`` from this checkout's ``src/``.
 
-Run from anywhere:
+``tests/test_output_digests.py`` holds the lines against
+``tests/fixtures/output_digests.txt``.  A change that alters outputs on
+purpose regenerates that file, from the root of the checkout:
 
-    python3 scripts/output_digests.py
+    python3 scripts/output_digests.py > tests/fixtures/output_digests.txt
 """
 
 import contextlib
@@ -23,6 +28,9 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+import numpy as np  # noqa: E402
+
+from twolevel import __version__  # noqa: E402
 from twolevel.cli import cli_dispatch  # noqa: E402
 
 FIXTURE = ROOT / "tests" / "fixtures" / "synthetic_curves.csv"
@@ -40,7 +48,16 @@ RUNS = {
     "oracle_n30_m40": "oracle-check --n 30 --m 40 --alpha 0.5 --alpha-tilde 1.0 --seed 4",
     # its adaptive k1, k2 change when oracle-check's sampler changes
     "oracle_n50_m20": "oracle-check --n 50 --m 20 --alpha 1.0 --seed 1",
+    "rates_n100_m10": "rates --n 100 --m 10 --alpha 0.5",
+    "heatmap_b5000": "heatmap --alpha 0.5 --alpha-tilde 1.0 --target f --budget 5000",
+    "gradient_product": ("gradient-map --alpha 1.0 --target f --budget 5000 "
+                         "--cost-n 3 --cost-m 0.5"),
+    "gradient_linear": ("gradient-map --alpha 0.5 --alpha-tilde 1.5 --target g "
+                        "--budget-mode linear_cost --budget 2000 --cost-n 0.25 --cost-m 4 "
+                        "--density 10"),
 }
+# commands that print and write no directory
+STDOUT_ONLY = ("oracle-check", "rates")
 
 
 def body_digest(text: str) -> str:
@@ -48,24 +65,35 @@ def body_digest(text: str) -> str:
     return hashlib.sha256(body.encode()).hexdigest()
 
 
-def main() -> int:
+def digest_lines() -> list[str]:
+    """The version lines, then one ``sha256  run/artifact`` line per output."""
+    lines = [f"# numpy = {np.__version__}", f"# twolevel = {__version__}"]
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp)
         for name, command in RUNS.items():
             argv = command.replace("{OUT}", tmp).split()
             if argv[0] == "compare":
                 argv += ["--out", str(out / name / "rmspe.csv")]
-            elif argv[0] != "oracle-check":
+            elif argv[0] not in STDOUT_ONLY:
                 argv += ["--out", str(out / name)]
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
                 status = cli_dispatch(argv)
             if status != 0:
-                print(f"{name}: exit {status}", file=sys.stderr)
-                return 1
-            print(f"{body_digest(stdout.getvalue().replace(tmp, 'OUT'))}  {name}/stdout")
+                raise RuntimeError(f"{name}: exit {status}")
+            lines.append(f"{body_digest(stdout.getvalue().replace(tmp, 'OUT'))}  {name}/stdout")
             for path in sorted((out / name).glob("*")) if (out / name).is_dir() else ():
-                print(f"{body_digest(path.read_text())}  {name}/{path.name}")
+                lines.append(f"{body_digest(path.read_text())}  {name}/{path.name}")
+    return lines
+
+
+def main() -> int:
+    try:
+        lines = digest_lines()
+    except RuntimeError as err:
+        print(err, file=sys.stderr)
+        return 1
+    print("\n".join(lines))
     return 0
 
 

@@ -8,7 +8,7 @@ from .basis import (FunctionSeries, SobolevBall, Spectrum, series_eval,
 from .simulate import (CoefficientPanel, ModelConfig, SubjectStats,
                        sample_population, sample_stats, simulate_regression,
                        study1_grids, substream)
-from .estimators import (PosteriorSpec, double_threshold_estimate_f,
+from .estimators import (double_threshold_estimate_f,
                          empirical_coefficients, leave_one_out_means,
                          lepskii_min_k, lepskii_threshold_g,
                          lepskii_thresholds_f, oracle_thresholds,

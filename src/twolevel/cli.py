@@ -64,8 +64,7 @@ def _check_density(args) -> None:
 
 
 def _cmd_rates(args) -> int:
-    q = RateQuery(n=args.n, m=args.m, alpha=args.alpha, alpha_tilde=args.alpha_tilde,
-                  cost_n=args.cost_n, cost_m=args.cost_m)
+    q = RateQuery(n=args.n, m=args.m, alpha=args.alpha, alpha_tilde=args.alpha_tilde)
     print(f"rate_g={rate_g(q):.6g} rate_f={rate_f(q):.6g}")
     return 0
 
@@ -300,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rates", help="print theoretical risk rates")
     _add_model_flags(p)
-    p.add_argument("--cost-n", type=float, default=1.0)
-    p.add_argument("--cost-m", type=float, default=1.0)
     p.set_defaults(func=_cmd_rates)
 
     p = sub.add_parser("gradient-map", help="emit a negative-gradient quiver map")

@@ -3,8 +3,9 @@
 Designs are integer lattices filtered by a sampling budget, either the
 product form ``n * m <= B`` or a linear cost model
 ``cost_n * n + cost_m * m <= B``.  Cells are annotated with the theoretical
-rates and their cost-weighted gradients; emitters write self-contained SVG
-quiver/heatmap figures plus CSV companions.
+rates and their gradients, weighted by the unit costs ``cost_n`` and
+``cost_m`` in either mode; emitters write self-contained SVG quiver/heatmap
+figures plus CSV companions.
 """
 
 from __future__ import annotations
@@ -48,12 +49,6 @@ class DesignPoint:
 @dataclass(frozen=True)
 class DesignGrid:
     points: tuple
-    budget: float
-    mode: str
-    cost_n: float
-    cost_m: float
-    alpha: float
-    alpha_tilde: float
 
     def __len__(self) -> int:
         return len(self.points)
@@ -82,6 +77,9 @@ def enumerate_designs(budget: float, alpha: float, alpha_tilde: float,
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
+    for name, cost in (("cost_n", cost_n), ("cost_m", cost_m)):
+        if not cost > 0:
+            raise ValueError(f"{name} must be positive, got {cost}")
     if mode not in ("product", "linear_cost"):
         raise ValueError(f"unknown budget mode {mode!r}")
     if mode == "product":
@@ -97,13 +95,13 @@ def enumerate_designs(budget: float, alpha: float, alpha_tilde: float,
         for m in _candidates(m_limit, density):
             if not _feasible(int(n), int(m), budget, mode, cost_n, cost_m):
                 continue
-            q = RateQuery(n=float(n), m=float(m), alpha=alpha, alpha_tilde=alpha_tilde,
-                          cost_n=cost_n, cost_m=cost_m)
+            q = RateQuery(n=float(n), m=float(m), alpha=alpha, alpha_tilde=alpha_tilde)
             points.append(DesignPoint(int(n), int(m), rate_g(q), rate_f(q),
-                                      rate_gradient(q, "g"), rate_gradient(q, "f")))
+                                      rate_gradient(q, "g", cost_n, cost_m),
+                                      rate_gradient(q, "f", cost_n, cost_m)))
     if not points:
         raise ValueError("budget admits no feasible design")
-    return DesignGrid(tuple(points), budget, mode, cost_n, cost_m, alpha, alpha_tilde)
+    return DesignGrid(tuple(points))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ truth-dependent oracle thresholds for diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +16,6 @@ from .basis import FunctionSeries, Spectrum, fourier_matrices
 from .simulate import CoefficientPanel, MultiSubjectTable, SubjectStats
 
 __all__ = [
-    "PosteriorSpec",
     "empirical_coefficients",
     "leave_one_out_means",
     "threshold_estimate_g",
@@ -31,18 +29,6 @@ __all__ = [
     "posterior_mean_f",
     "oracle_thresholds",
 ]
-
-
-@dataclass(frozen=True)
-class PosteriorSpec:
-    """Eigenvalue laws assumed by the conjugate posterior-mean estimators.
-
-    Either spectrum may deliberately differ from the data-generating truth to
-    study misspecified hyperparameters.
-    """
-
-    prior_spectrum: Spectrum
-    deviation_spectrum: Spectrum
 
 
 def empirical_coefficients(table: MultiSubjectTable, width: int) -> CoefficientPanel:
@@ -206,28 +192,31 @@ def single_subject_estimate(stats: SubjectStats, tau: float = 2.0):
     return _estimate(stats.own, single_subject_threshold(stats, tau))
 
 
-def posterior_mean_g(stats: SubjectStats, spec: PosteriorSpec):
+def posterior_mean_g(stats: SubjectStats, prior: Spectrum, deviation: Spectrum):
     """Conjugate posterior mean for g: shrink the all-subject pooled mean by
     ``1 / (zeta_k^{-1} m^{-1} (zeta~_k + 1/n) + 1)``.  A FunctionSeries for
-    one row, a (rows, width) array for a stack."""
-    lam = spec.prior_spectrum.eigenvalues(stats.width)
-    lamt = spec.deviation_spectrum.eigenvalues(stats.width)
+    one row, a (rows, width) array for a stack.  ``prior`` and ``deviation``
+    are the assumed spectra of g and of the deviations, which may differ from
+    the truth; the noise variance is 1."""
+    lam = prior.eigenvalues(stats.width)
+    lamt = deviation.eigenvalues(stats.width)
     shrink = 1.0 / ((lamt + 1.0 / stats.n) / (stats.m * lam) + 1.0)
     return _estimate(shrink * stats.pooled)
 
 
-def posterior_mean_f(stats: SubjectStats, spec: PosteriorSpec):
+def posterior_mean_f(stats: SubjectStats, prior: Spectrum, deviation: Spectrum):
     """Conjugate posterior mean for one subject's function.
 
     Combines the subject's own coefficients with the leave-one-out pooled
     mean of the m - 1 donor subjects; with m = 1 it degrades to conjugate
     shrinkage against the subject's marginal prior variance.  A
-    FunctionSeries for one row, a (rows, width) array for a stack.
+    FunctionSeries for one row, a (rows, width) array for a stack.  The
+    assumed spectra are as in :func:`posterior_mean_g`.
     """
     n = stats.n
     width = stats.width
-    lam = spec.prior_spectrum.eigenvalues(width)
-    lamt = spec.deviation_spectrum.eigenvalues(width)
+    lam = prior.eigenvalues(width)
+    lamt = deviation.eigenvalues(width)
     donors = stats.m - 1
     own = stats.own
     ybar = stats.donor_mean if donors > 0 else np.zeros(width)

@@ -3,9 +3,10 @@
 The harness draws the sufficient statistics of every replicate of a config
 as one stack, fits each estimator of a plan once on that stack, and scores
 each replicate's fit by its exact L2 risk (Parseval).  The rate
-functions implement the closed-form risk rates (all constants fixed to 1, so
-only slopes and orderings are meaningful) together with their analytic
-cost-weighted gradients.
+functions implement the closed-form risk rates at a :class:`RateQuery`
+point (all constants fixed to 1, so only slopes and orderings are
+meaningful); :func:`rate_gradient` weights their analytic gradients by the
+unit costs it is given.
 """
 
 from __future__ import annotations
@@ -101,14 +102,16 @@ def single_subject_f(tau: float = 2.0) -> EstimatorSpec:
     return EstimatorSpec(f"single_f_tau{tau:g}", "f", fit)
 
 
-def posterior_g(spec: est.PosteriorSpec) -> EstimatorSpec:
-    label = f"posterior_g_b{spec.prior_spectrum.decay:g}_bt{spec.deviation_spectrum.decay:g}"
-    return EstimatorSpec(label, "g", lambda stats: est.posterior_mean_g(stats, spec))
+def posterior_g(prior, deviation) -> EstimatorSpec:
+    """Posterior mean for g under the assumed prior and deviation Spectrums."""
+    label = f"posterior_g_b{prior.decay:g}_bt{deviation.decay:g}"
+    return EstimatorSpec(label, "g", lambda stats: est.posterior_mean_g(stats, prior, deviation))
 
 
-def posterior_f(spec: est.PosteriorSpec) -> EstimatorSpec:
-    label = f"posterior_f_b{spec.prior_spectrum.decay:g}_bt{spec.deviation_spectrum.decay:g}"
-    return EstimatorSpec(label, "f", lambda stats: est.posterior_mean_f(stats, spec))
+def posterior_f(prior, deviation) -> EstimatorSpec:
+    """Posterior mean for f under the assumed prior and deviation Spectrums."""
+    label = f"posterior_f_b{prior.decay:g}_bt{deviation.decay:g}"
+    return EstimatorSpec(label, "f", lambda stats: est.posterior_mean_f(stats, prior, deviation))
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +120,7 @@ def posterior_f(spec: est.PosteriorSpec) -> EstimatorSpec:
 
 @dataclass
 class RiskReport:
-    """Per-replicate MISE values for one estimator, with a config echo.
+    """Per-replicate MISE values for one estimator.
 
     ``first_failure`` is ``"<Type>: <message>"`` of the first replicate
     whose fit failed, or None.
@@ -127,8 +130,6 @@ class RiskReport:
     target: str
     mises: np.ndarray
     failures: int
-    config: dict
-    seed: int
     first_failure: str | None = None
 
     @property
@@ -215,19 +216,9 @@ def run_monte_carlo(cfg: ModelConfig, plan, replicates: int, seed: int,
     g, f0, stats = sample_stats(cfg, normals)
     del normals  # a block drawn here is not held while the plan is fitted
     truths = {"g": g, "f": f0}
-    config_echo = {
-        "n": cfg.n, "m": cfg.m, "k_max": cfg.k_max,
-        "alpha": cfg.prior_spectrum.decay, "alpha_scale": cfg.prior_spectrum.scale,
-        "alpha_tilde": cfg.deviation_spectrum.decay,
-        "alpha_tilde_scale": cfg.deviation_spectrum.scale,
-        "replicates": replicates, "seed": seed,
-    }
-    reports = {}
-    for spec in plan:
-        mises, failures, first_failure = _fit_and_score(spec, stats, truths[spec.target])
-        reports[spec.label] = RiskReport(spec.label, spec.target, mises, failures,
-                                         dict(config_echo), seed, first_failure)
-    return reports
+    return {spec.label: RiskReport(spec.label, spec.target,
+                                   *_fit_and_score(spec, stats, truths[spec.target]))
+            for spec in plan}
 
 
 # ---------------------------------------------------------------------------
@@ -236,25 +227,17 @@ def run_monte_carlo(cfg: ModelConfig, plan, replicates: int, seed: int,
 
 @dataclass(frozen=True)
 class RateQuery:
-    """Continuous (n, m) point with smoothness exponents and unit costs."""
+    """Continuous (n, m) point with smoothness exponents."""
 
     n: float
     m: float
     alpha: float
     alpha_tilde: float
-    cost_n: float = 1.0
-    cost_m: float = 1.0
 
     def __post_init__(self):
-        for name in ("n", "m", "alpha", "alpha_tilde", "cost_n", "cost_m"):
+        for name in ("n", "m", "alpha", "alpha_tilde"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-
-    @property
-    def delta(self) -> float:
-        if self.n <= 1:
-            raise ValueError("delta = log(m)/log(n) needs n > 1")
-        return math.log(self.m) / math.log(self.n)
 
 
 def rate_g(q: RateQuery) -> float:
@@ -276,8 +259,10 @@ class RateGradient(NamedTuple):
     steeper_axis: str
 
 
-def rate_gradient(q: RateQuery, target: str) -> RateGradient:
-    """Cost-weighted analytic partial derivatives of the chosen rate.
+def rate_gradient(q: RateQuery, target: str, cost_n: float = 1.0,
+                  cost_m: float = 1.0) -> RateGradient:
+    """Analytic partial derivatives of the chosen rate, each divided by the
+    unit cost of its axis.
 
     ``steeper_axis`` is "n" when a unit of cost spent on n decreases the rate
     more than a unit spent on m (arrow slope below 45 degrees).
@@ -293,8 +278,8 @@ def rate_gradient(q: RateQuery, target: str) -> RateGradient:
         dm = -p * shared / q.m
     else:
         raise ValueError(f"unknown target {target!r}")
-    dn /= q.cost_n
-    dm /= q.cost_m
+    dn /= cost_n
+    dm /= cost_m
     return RateGradient(dn, dm, "n" if abs(dn) > abs(dm) else "m")
 
 

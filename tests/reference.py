@@ -163,6 +163,5 @@ def run_monte_carlo_per_replicate(cfg, plan, replicates: int, seed: int):
                 continue
             mises[spec.label][r] = parseval_mise(fitted, truths[spec.target])
     return {spec.label: RiskReport(spec.label, spec.target, mises[spec.label],
-                                   failures[spec.label], {}, seed,
-                                   first_failure.get(spec.label))
+                                   failures[spec.label], first_failure.get(spec.label))
             for spec in plan}

@@ -13,8 +13,7 @@ import pytest
 
 from twolevel.basis import FunctionSeries, Spectrum, fourier_matrix
 from twolevel.dataio import SplitSpec, compare_estimators, comparison_csv, load_table
-from twolevel.estimators import (PosteriorSpec, posterior_mean_f, posterior_mean_g,
-                                 threshold_estimate_g)
+from twolevel.estimators import posterior_mean_f, posterior_mean_g, threshold_estimate_g
 from twolevel.risk import (RateQuery, adaptive_f, adaptive_g, fixed_f, fixed_g,
                            posterior_f, posterior_g, rate_f, rate_g,
                            rate_gradient, run_monte_carlo, single_subject_f,
@@ -37,17 +36,16 @@ def test_criterion_1_posterior_conditioning_oracle():
         for m in (2, 4):
             for alpha in (0.2, 0.5, 1.0):
                 for alpha_tilde in (0.2, 0.5, 1.0):
-                    spec = PosteriorSpec(Spectrum(alpha), Spectrum(alpha_tilde))
+                    prior, deviation = Spectrum(alpha), Spectrum(alpha_tilde)
                     rng = substream(101, n, m, int(alpha * 10), int(alpha_tilde * 10))
-                    cfg = ModelConfig(n, m, spec.prior_spectrum,
-                                      spec.deviation_spectrum, k_max=6)
+                    cfg = ModelConfig(n, m, prior, deviation, k_max=6)
                     g = sample_population(cfg, rng)
                     _, panel = sample_panel(g, cfg, rng)
-                    est_g = posterior_mean_g(subject_stats(panel, 0), spec)
-                    est_f = [posterior_mean_f(subject_stats(panel, j), spec)
+                    est_g = posterior_mean_g(subject_stats(panel, 0), prior, deviation)
+                    est_f = [posterior_mean_f(subject_stats(panel, j), prior, deviation)
                              for j in range(m)]
-                    lam = spec.prior_spectrum.eigenvalues(6)
-                    lamt = spec.deviation_spectrum.eigenvalues(6)
+                    lam = prior.eigenvalues(6)
+                    lamt = deviation.eigenvalues(6)
                     for k in range(6):
                         y = panel.coeffs[:, k]
                         cov_y = lam[k] * np.ones((m, m)) + (lamt[k] + 1.0 / n) * np.eye(m)
@@ -67,12 +65,12 @@ def test_criterion_1_posterior_conditioning_oracle():
 
 def test_criterion_2_subject_risk_slope_in_n():
     start = time.time()
-    spec = PosteriorSpec(Spectrum(2.0), Spectrum(0.5))
+    estimator = posterior_f(Spectrum(2.0), Spectrum(0.5))
     ns = [100, 400, 1600, 6400]
     medians = []
     for n in ns:
         cfg = ModelConfig(n, 20, Spectrum(2.0), Spectrum(0.5))
-        out = run_monte_carlo(cfg, [posterior_f(spec)], replicates=200, seed=202)
+        out = run_monte_carlo(cfg, [estimator], replicates=200, seed=202)
         medians.append(next(iter(out.values())).median)
     slope = slope_recovery(ns, medians)
     elapsed = time.time() - start
@@ -84,12 +82,12 @@ def test_criterion_2_subject_risk_slope_in_n():
 
 def test_criterion_3_population_risk_slope_in_m():
     start = time.time()
-    spec = PosteriorSpec(Spectrum(1.0), Spectrum(0.5))
+    estimator = posterior_g(Spectrum(1.0), Spectrum(0.5))
     ms = [125, 500, 2000, 8000]
     medians = []
     for m in ms:
         cfg = ModelConfig(1, m, Spectrum(1.0), Spectrum(0.5))
-        out = run_monte_carlo(cfg, [posterior_g(spec)], replicates=200, seed=303)
+        out = run_monte_carlo(cfg, [estimator], replicates=200, seed=303)
         medians.append(next(iter(out.values())).median)
     slope = slope_recovery(ms, medians)
     elapsed = time.time() - start
@@ -156,15 +154,14 @@ def test_criterion_6_gradient_fidelity():
     for _ in range(50):
         q = RateQuery(n=float(rng.uniform(1.5, 1000)), m=float(rng.uniform(1.5, 1000)),
                       alpha=float(rng.uniform(0.1, 3)),
-                      alpha_tilde=float(rng.uniform(0.1, 3)),
-                      cost_n=float(rng.uniform(0.2, 5)),
-                      cost_m=float(rng.uniform(0.2, 5)))
+                      alpha_tilde=float(rng.uniform(0.1, 3)))
+        cost_n, cost_m = float(rng.uniform(0.2, 5)), float(rng.uniform(0.2, 5))
         for target, fn in (("g", rate_g), ("f", rate_f)):
-            grad = rate_gradient(q, target)
+            grad = rate_gradient(q, target, cost_n, cost_m)
             def at(n, m):
-                return fn(RateQuery(n, m, q.alpha, q.alpha_tilde, q.cost_n, q.cost_m))
-            fd_n = (at(q.n * (1 + h), q.m) - at(q.n * (1 - h), q.m)) / (2 * h * q.n) / q.cost_n
-            fd_m = (at(q.n, q.m * (1 + h)) - at(q.n, q.m * (1 - h))) / (2 * h * q.m) / q.cost_m
+                return fn(RateQuery(n, m, q.alpha, q.alpha_tilde))
+            fd_n = (at(q.n * (1 + h), q.m) - at(q.n * (1 - h), q.m)) / (2 * h * q.n) / cost_n
+            fd_m = (at(q.n, q.m * (1 + h)) - at(q.n, q.m * (1 - h))) / (2 * h * q.m) / cost_m
             max_rel = max(max_rel, abs(grad.dn - fd_n) / abs(fd_n),
                           abs(grad.dm - fd_m) / abs(fd_m))
     classify = rate_gradient(RateQuery(1.0, 10.0, 1.0, 1.0), "g").steeper_axis

@@ -33,6 +33,18 @@ class TestRates:
         assert code == 2
         assert "config error" in err
 
+    def test_documented_example(self, capsys):
+        code, out, _ = run(capsys, "rates", "--n", "100", "--m", "10", "--alpha", "0.5")
+        assert (code, out) == (0, "rate_g=0.131623 rate_f=0.131623\n")
+
+    @pytest.mark.parametrize("flag", ["--cost-n", "--cost-m"])
+    def test_has_no_cost_flags(self, capsys, flag):
+        # the rates do not depend on costs; only the gradient-map arrows do
+        code, out, err = run(capsys, "rates", "--n", "100", "--m", "10", "--alpha", "0.5",
+                             flag, "7")
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {flag} 7" in err
+
 
 class TestArtifacts:
     def test_gradient_map_outputs(self, tmp_path, capsys):
@@ -71,6 +83,17 @@ class TestArtifacts:
         axis = sorted({int(row[0]) for row in rows})
         assert axis == sorted({int(row[1]) for row in rows})
         assert axis[0] == 1 and axis[-1] <= 150.7
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("cost", ["cost_n", "cost_m"])
+    @pytest.mark.parametrize("mode", ["product", "linear_cost"])
+    def test_gradient_map_nonpositive_cost_is_config_error(self, tmp_path, capsys,
+                                                           mode, cost, value):
+        code, out, err = run(capsys, "gradient-map", "--alpha", "1.0", "--budget-mode", mode,
+                             f"--{cost.replace('_', '-')}", value, "--out", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert err == f"config error: {cost} must be positive, got {float(value)}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_rerun_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from twolevel.basis import FunctionSeries, Spectrum
-from twolevel.estimators import (PosteriorSpec, double_threshold_estimate_f,
+from twolevel.estimators import (double_threshold_estimate_f,
                                  empirical_coefficients, leave_one_out_means,
                                  lepskii_min_k, lepskii_threshold_g,
                                  lepskii_thresholds_f, oracle_thresholds,
@@ -260,12 +260,12 @@ class TestLepskiiSelectors:
             np.testing.assert_array_equal(got, [f.padded(width) for f in series])
 
 
-def conditioned_posterior_oracle(panel, spec, k):
+def conditioned_posterior_oracle(panel, prior, deviation, k):
     """Exact conditional means of (g_k, f_k^(1..m)) given column k of the panel,
     from the joint Gaussian of the hierarchical model (0-based k)."""
     n, m = panel.n, panel.m
-    lam = spec.prior_spectrum.eigenvalue(k + 1)
-    lamt = spec.deviation_spectrum.eigenvalue(k + 1)
+    lam = prior.eigenvalue(k + 1)
+    lamt = deviation.eigenvalue(k + 1)
     y = panel.coeffs[:, k]
     cov_y = lam * np.ones((m, m)) + (lamt + 1.0 / n) * np.eye(m)
     sol = np.linalg.solve(cov_y, y)
@@ -282,32 +282,32 @@ class TestPosteriorMeans:
     @pytest.mark.parametrize("n,m", [(10, 2), (10, 4), (100, 3)])
     def test_matches_conditioning_oracle(self, n, m):
         rng = substream(20, n, m)
-        spec = PosteriorSpec(Spectrum(0.7, scale=1.2), Spectrum(0.4, scale=0.8))
-        cfg = ModelConfig(n, m, spec.prior_spectrum, spec.deviation_spectrum, k_max=6)
+        prior, deviation = Spectrum(0.7, scale=1.2), Spectrum(0.4, scale=0.8)
+        cfg = ModelConfig(n, m, prior, deviation, k_max=6)
         g = sample_population(cfg, rng)
         _, panel = sample_panel(g, cfg, rng)
-        est_g = posterior_mean_g(subject_stats(panel, 0), spec)
-        est_f = [posterior_mean_f(subject_stats(panel, j), spec) for j in range(m)]
+        est_g = posterior_mean_g(subject_stats(panel, 0), prior, deviation)
+        est_f = [posterior_mean_f(subject_stats(panel, j), prior, deviation)
+                 for j in range(m)]
         for k in range(6):
-            g_mean, f_means = conditioned_posterior_oracle(panel, spec, k)
+            g_mean, f_means = conditioned_posterior_oracle(panel, prior, deviation, k)
             assert est_g.coeffs[k] == pytest.approx(g_mean, abs=1e-10)
             for j in range(m):
                 assert est_f[j].coeffs[k] == pytest.approx(f_means[j], abs=1e-10)
 
     def test_single_subject_reduces_to_shrinkage(self):
-        spec = PosteriorSpec(Spectrum(0.5), Spectrum(1.0))
+        prior, deviation = Spectrum(0.5), Spectrum(1.0)
         panel = CoefficientPanel(n=25, m=1, coeffs=[[2.0, -1.0, 0.5]])
-        est = posterior_mean_f(subject_stats(panel, 0), spec)
+        est = posterior_mean_f(subject_stats(panel, 0), prior, deviation)
         for k in range(3):
-            lam = spec.prior_spectrum.eigenvalue(k + 1)
-            lamt = spec.deviation_spectrum.eigenvalue(k + 1)
+            lam = prior.eigenvalue(k + 1)
+            lamt = deviation.eigenvalue(k + 1)
             shrink = 25 / (25 + 1.0 / (lam + lamt))
             assert est.coeffs[k] == pytest.approx(shrink * panel.coeffs[0, k])
 
     def test_g_shrinks_towards_zero(self):
-        spec = PosteriorSpec(Spectrum(0.5), Spectrum(0.5))
         panel = CoefficientPanel(n=10, m=3, coeffs=np.ones((3, 5)))
-        est = posterior_mean_g(subject_stats(panel, 0), spec)
+        est = posterior_mean_g(subject_stats(panel, 0), Spectrum(0.5), Spectrum(0.5))
         assert np.all(est.coeffs > 0)
         assert np.all(est.coeffs < 1)
         assert np.all(np.diff(est.coeffs) < 0)  # heavier shrinkage at high k
