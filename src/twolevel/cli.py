@@ -22,7 +22,8 @@ from . import __version__
 from .basis import FunctionSeries, Spectrum
 from .dataio import (DataError, DataWarning, SplitSpec, compare_estimators,
                      comparison_csv, load_table)
-from .design import _candidates, emit_gradient_map, emit_heatmap, enumerate_designs
+from .design import (_candidates, check_budget, emit_gradient_map, emit_heatmap,
+                     enumerate_designs)
 from .estimators import lepskii_thresholds_f, oracle_thresholds
 from .risk import (RateQuery, adaptive_f, adaptive_g, fixed_g, fixed_g_threshold,
                    rate_f, rate_g, run_monte_carlo, single_subject_f)
@@ -89,6 +90,7 @@ def _cmd_gradient_map(args) -> int:
 def _cmd_heatmap(args) -> int:
     # rate surfaces are drawn on the full rectangle with each axis running up
     # to the budget, not just the feasible (n * m <= budget) triangle
+    check_budget(args.budget)
     if args.budget < 1:
         raise ConfigError("budget must be at least 1")
     _check_density(args)

@@ -18,12 +18,17 @@ import numpy as np
 from .risk import RateGradient, RateQuery, rate_f, rate_g, rate_gradient
 
 __all__ = [
+    "check_budget",
     "DesignPoint",
     "DesignGrid",
     "enumerate_designs",
     "emit_gradient_map",
     "emit_heatmap",
 ]
+
+# every integer up to 2**53 is exact as a float, and the int64 lattice values
+# up to it cannot wrap
+MAX_BUDGET = 2**53
 
 GRADIENT_CSV_HEADER = "n,m,rate_g,rate_f,dgdn,dgdm,dfdn,dfdm,steeper_g,steeper_f"
 
@@ -60,6 +65,13 @@ def _feasible(n: int, m: int, budget: float, mode: str, cost_n: float, cost_m: f
     return cost_n * n + cost_m * m <= budget
 
 
+def check_budget(budget: float) -> None:
+    """Reject a budget that is not a finite number in (0, 2**53]."""
+    if not 0 < budget <= MAX_BUDGET:
+        raise ValueError(f"budget must be a finite number in (0, 2**53 = {MAX_BUDGET}], "
+                         f"got {budget!r}")
+
+
 def _candidates(limit: int, density) -> np.ndarray:
     if density is None:
         return np.arange(1, limit + 1)
@@ -75,8 +87,7 @@ def enumerate_designs(budget: float, alpha: float, alpha_tilde: float,
     ``density=None`` enumerates every feasible integer pair; otherwise a
     log-spaced lattice of about ``density`` values per axis is used.
     """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
+    check_budget(budget)
     for name, cost in (("cost_n", cost_n), ("cost_m", cost_m)):
         if not cost > 0:
             raise ValueError(f"{name} must be positive, got {cost}")
@@ -90,9 +101,13 @@ def enumerate_designs(budget: float, alpha: float, alpha_tilde: float,
         m_limit = int((budget - cost_n) / cost_m)
     if n_limit < 1 or m_limit < 1:
         raise ValueError("budget admits no feasible design")
+    if max(n_limit, m_limit) > MAX_BUDGET:  # a unit cost below 1
+        raise ValueError(f"budget {budget!r} at unit costs ({cost_n!r}, {cost_m!r}) "
+                         f"admits axis values past 2**53 = {MAX_BUDGET}")
     points = []
+    m_values = _candidates(m_limit, density)
     for n in _candidates(n_limit, density):
-        for m in _candidates(m_limit, density):
+        for m in m_values:
             if not _feasible(int(n), int(m), budget, mode, cost_n, cost_m):
                 continue
             q = RateQuery(n=float(n), m=float(m), alpha=alpha, alpha_tilde=alpha_tilde)
@@ -190,9 +205,9 @@ def emit_heatmap(surface, svg_path, csv_path, header_lines=(), bins: int = 9,
     else:
         edges = np.unique(np.quantile(values, np.linspace(0.0, 1.0, bins + 1)))
         nbins = edges.size - 1
-
-    def bin_of(v: float) -> int:
-        return int(min(np.searchsorted(edges, v, side="right") - 1, nbins - 1))
+    # the bin of cell (ns[i], ms[j]) at [i][j], all cells in one search
+    cell_bins = np.minimum(np.searchsorted(edges, values, side="right") - 1, nbins - 1)
+    cell_bins = cell_bins.reshape(len(ns), len(ms)).tolist()
 
     width = height = 640
     margin = 60
@@ -203,7 +218,7 @@ def emit_heatmap(surface, svg_path, csv_path, header_lines=(), bins: int = 9,
                  f'font-family="monospace" font-size="13">{label} over (n, m)</text>')
     for i, n in enumerate(ns):
         for j, m in enumerate(ms):
-            b = bin_of(cells[(n, m)])
+            b = cell_bins[i][j]
             color = _BIN_COLORS[b * (len(_BIN_COLORS) - 1) // max(nbins - 1, 1)]
             x = margin + i * cw
             y = height - margin - (j + 1) * ch
@@ -217,6 +232,6 @@ def emit_heatmap(surface, svg_path, csv_path, header_lines=(), bins: int = 9,
             fh.write(f"# {ln}\n")
         fh.write(f"# bin_edges = {','.join(repr(float(e)) for e in edges)}\n")
         fh.write(f"n,m,{label},bin\n")
-        for n in ns:
-            for m in ms:
-                fh.write(f"{n},{m},{float(cells[(n, m)])!r},{bin_of(cells[(n, m)])}\n")
+        for i, n in enumerate(ns):
+            for j, m in enumerate(ms):
+                fh.write(f"{n},{m},{float(cells[(n, m)])!r},{cell_bins[i][j]}\n")

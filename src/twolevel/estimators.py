@@ -71,7 +71,7 @@ def leave_one_out_means(panel: CoefficientPanel) -> np.ndarray:
 def _before(k, width: int) -> np.ndarray:
     """Mask of the columns before k in a row of ``width``; k is an int, or
     one level per row of a stack."""
-    return np.arange(width) < np.expand_dims(k, -1)
+    return np.arange(width) < np.asarray(k)[..., None]
 
 
 def _estimate(coeffs: np.ndarray, k=None):
@@ -88,7 +88,7 @@ def _estimate(coeffs: np.ndarray, k=None):
 def threshold_estimate_g(stats: SubjectStats, K):
     """Pooled series estimator keeping the first K coefficients; see
     :func:`_estimate` for one row against a stack."""
-    if np.any(np.less(K, 0)) or np.any(np.greater(K, stats.width)):
+    if np.less(K, 0).any() or np.greater(K, stats.width).any():
         raise ValueError(f"K must be in 0..{stats.width}, got {K}")
     return _estimate(stats.pooled, K)
 
@@ -135,18 +135,16 @@ def double_threshold_estimate_f(stats: SubjectStats, k1, k2):
     """Subject estimator using own coefficients up to k1, leave-one-out pooled
     coefficients on (k1, k2], zero beyond: the FunctionSeries of length k2
     for one row, a (rows, width) array for a stack."""
-    if np.any(np.greater(k1, k2)):
+    if np.greater(k1, k2).any():
         raise ValueError(f"need k1 <= k2, got ({k1}, {k2})")
-    if np.any(np.greater(k2, stats.width)):
+    if np.greater(k2, stats.width).any():
         raise ValueError("k2 exceeds panel width")
-    conditions, choices = [_before(k1, stats.width)], [stats.own]
-    if np.any(np.greater(k2, k1)):
+    past_k1 = 0.0
+    if np.greater(k2, k1).any():
         if stats.donor_mean is None:
             raise ValueError("leave-one-out pooling needs at least 2 subjects")
-        conditions.append(_before(k2, stats.width))
-        choices.append(stats.donor_mean)
-    # built in one array, as a second masking pass would hold one more stack
-    coeffs = np.select(conditions, choices)
+        past_k1 = np.where(_before(k2, stats.width), stats.donor_mean, 0.0)
+    coeffs = np.where(_before(k1, stats.width), stats.own, past_k1)
     return FunctionSeries(coeffs[:k2]) if coeffs.ndim == 1 else coeffs
 
 

@@ -174,19 +174,24 @@ class RiskReport:
 
 def _fit_and_score(spec: EstimatorSpec, stats: SubjectStats, truth: np.ndarray):
     """(per-replicate MISE, failure count, first failure) of one estimator
-    fitted on the stack and scored row by row against ``truth``."""
+    fitted on the stack and scored against ``truth`` in one stacked dot.
+
+    The MISE is the exact L2 risk by Parseval, the sum of squared coefficient
+    errors.  The stacked matmul of each (1, K) error row by its (K, 1)
+    transpose sums as ``d @ d`` does on the row alone, so every MISE is bit
+    for bit the per-row value (``np.einsum("ij,ij->i")`` sums in another
+    order).  A row with a non-finite coefficient is left NaN.
+    """
     replicates = truth.shape[0]
     mises = np.full(replicates, np.nan)
     try:
         fitted = spec.fit(stats)
     except (ValueError, np.linalg.LinAlgError) as err:
         return mises, replicates, f"{type(err).__name__}: {err}"
-    finite = np.flatnonzero(np.isfinite(fitted).all(axis=1))
-    for r in finite:
-        # exact L2 risk by Parseval: the sum of squared coefficient errors
-        d = fitted[r] - truth[r]
-        mises[r] = d @ d
-    failures = replicates - finite.size
+    finite = np.isfinite(fitted).all(axis=1)
+    failures = replicates - int(np.count_nonzero(finite))  # np.int64 otherwise
+    d = fitted[finite] - truth[finite] if failures else fitted - truth
+    mises[finite] = (d[:, None, :] @ d[:, :, None]).ravel()
     return mises, failures, "ValueError: coeffs must be finite" if failures else None
 
 

@@ -2,7 +2,8 @@
 pointwise basis evaluation, grid quadrature and Parseval sums of the L2
 risk, RMSPE of one series on held-out points, the full m-subject panel
 sampler with its pooled and leave-one-out means, the finite Mercer
-covariance, and the Monte Carlo engine one replicate at a time."""
+covariance, the Monte Carlo engine one replicate at a time, and the
+double-threshold fit as one ``np.select``."""
 
 import math
 
@@ -165,3 +166,17 @@ def run_monte_carlo_per_replicate(cfg, plan, replicates: int, seed: int):
     return {spec.label: RiskReport(spec.label, spec.target, mises[spec.label],
                                    failures[spec.label], first_failure.get(spec.label))
             for spec in plan}
+
+
+def double_threshold_select(stats: SubjectStats, k1, k2) -> np.ndarray:
+    """The double-threshold fit as the full-width array, built with
+    ``np.select`` from a mask per threshold: own coefficients before k1,
+    donor-mean coefficients before k2, zero beyond.  ``k1`` and ``k2`` are
+    ints or one level per row of a stack."""
+    columns = np.arange(stats.width)
+    conditions = [columns < np.expand_dims(k1, -1)]
+    choices = [stats.own]
+    if np.any(np.greater(k2, k1)):
+        conditions.append(columns < np.expand_dims(k2, -1))
+        choices.append(stats.donor_mean)
+    return np.select(conditions, choices)

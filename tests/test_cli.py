@@ -95,6 +95,27 @@ class TestArtifacts:
         assert err == f"config error: {cost} must be positive, got {float(value)}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e300", "9.3e18"])
+    @pytest.mark.parametrize("command", ["gradient-map", "heatmap", "study2"])
+    def test_budget_past_exact_integers_is_config_error(self, tmp_path, capsys,
+                                                        command, value):
+        # int64 lattice values would wrap past 2**63 and floats skip integers past 2**53
+        code, out, err = run(capsys, command, "--alpha", "1.0", f"--budget={value}",
+                             "--out", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert err == ("config error: budget must be a finite number in "
+                       f"(0, 2**53 = 9007199254740992], got {float(value)!r}\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["gradient-map", "heatmap"])
+    def test_budget_at_two_to_the_53_runs(self, tmp_path, capsys, command):
+        code, _, _ = run(capsys, command, "--alpha", "1.0", "--budget", str(2**53),
+                         "--density", "3", "--out", str(tmp_path))
+        assert code == 0
+        csv, = tmp_path.glob("*.csv")
+        rows = [ln.split(",") for ln in csv.read_text().splitlines() if not ln.startswith("#")]
+        assert 1 < max(int(row[0]) for row in rows[1:]) <= 2**53
+
     def test_rerun_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
         argv = ["simulate", "--n", "20", "--m", "3", "--alpha", "0.5",

@@ -38,6 +38,15 @@ class TestEnumerate:
         with pytest.raises(ValueError):
             enumerate_designs(-3, alpha=1.0, alpha_tilde=0.5)
 
+    def test_cheap_axis_past_exact_integers(self):
+        # a unit cost below 1 lets an axis run past the budget itself
+        with pytest.raises(ValueError, match=r"admits axis values past 2\*\*53"):
+            enumerate_designs(1e15, alpha=1.0, alpha_tilde=0.5, mode="linear_cost",
+                              cost_n=1e-6, density=3)
+        grid = enumerate_designs(1e15, alpha=1.0, alpha_tilde=0.5, mode="linear_cost",
+                                 cost_n=0.5, density=3)
+        assert max(p.n for p in grid.points) <= 2e15
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             enumerate_designs(10, 1.0, 0.5, mode="quadratic")

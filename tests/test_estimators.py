@@ -17,7 +17,8 @@ from twolevel.estimators import (double_threshold_estimate_f,
 from twolevel.simulate import (CoefficientPanel, ModelConfig, SubjectStats,
                                sample_population, simulate_regression, substream)
 
-from reference import pooled_coefficients, sample_panel, subject_stats
+from reference import (double_threshold_select, pooled_coefficients, sample_panel,
+                       subject_stats)
 
 
 def brute_force_min_k(sq_terms, tau, denom, bound):
@@ -178,6 +179,28 @@ class TestThresholdEstimators:
             double_threshold_estimate_f(subject_stats(panel, 0), k1=2, k2=1)
         with pytest.raises(ValueError):
             double_threshold_estimate_f(subject_stats(panel, 0), k1=1, k2=3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 12), st.integers(0, 2**32 - 1),
+           st.sampled_from(["random", "k1 = k2", "k2 = width", "k1 = k2 = width"]))
+    def test_double_threshold_matches_select_form(self, rows, width, seed, case):
+        # the two nested np.where build every stack and row as one np.select
+        rng = substream(seed, 0)
+        own, donor_mean = rng.standard_normal((2, rows, width))
+        k2 = np.full(rows, width) if "k2 = width" in case else rng.integers(0, width + 1, rows)
+        k1 = k2 if "k1 = k2" in case else rng.integers(0, k2 + 1)
+        stack = SubjectStats(9, 3, own, donor_mean)
+        assert np.array_equal(double_threshold_estimate_f(stack, k1, k2),
+                              double_threshold_select(stack, k1, k2))
+        # one pair of int thresholds for the whole stack, as the fixed rule passes
+        assert np.array_equal(double_threshold_estimate_f(stack, int(k1[0]), int(k2[0])),
+                              double_threshold_select(stack, int(k1[0]), int(k2[0])))
+        for r in range(rows):
+            row = SubjectStats(9, 3, own[r], donor_mean[r])
+            fit = double_threshold_estimate_f(row, int(k1[r]), int(k2[r]))
+            want = double_threshold_select(row, int(k1[r]), int(k2[r]))
+            assert np.array_equal(fit.coeffs, want[:k2[r]])
+            assert np.array_equal(fit.padded(width), want)
 
 
 class TestLepskiiSelectors:

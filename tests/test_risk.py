@@ -6,7 +6,7 @@ from twolevel.risk import (EstimatorSpec, RateQuery, adaptive_f, adaptive_g,
                            fixed_f, fixed_g, posterior_f,
                            posterior_g, rate_f, rate_g, rate_gradient,
                            run_monte_carlo, single_subject_f, slope_recovery)
-from twolevel.simulate import ModelConfig, replicate_normals
+from twolevel.simulate import ModelConfig, replicate_normals, sample_stats
 
 from reference import (default_eval_grid_f, default_eval_grid_g, empirical_mise,
                        parseval_mise, rmspe, run_monte_carlo_per_replicate)
@@ -157,6 +157,36 @@ class TestMonteCarlo:
             out["broken"].median
         assert out[plan[1].label].failures == 0
         assert out[plan[1].label].first_failure is None
+
+    def test_non_finite_rows_fail_alone(self):
+        # a row of the fit that is not finite fails on its own; every other
+        # row scores bit for bit as its own d @ d
+        cfg = self.cfg()
+        base = adaptive_g()
+
+        def holed(stats):
+            fitted = base.fit(stats).copy()
+            fitted[1, 3] = np.nan
+            fitted[4, 0] = np.inf
+            return fitted
+
+        def all_nan(stats):
+            return np.full_like(base.fit(stats), np.nan)
+
+        plan = [EstimatorSpec("holed", "g", holed), EstimatorSpec("all_nan", "g", all_nan)]
+        out = run_monte_carlo(cfg, plan, replicates=6, seed=3)
+        g, _, stats = sample_stats(cfg, replicate_normals(3, 6, cfg.stats_width))
+        fitted = base.fit(stats)
+        report = out["holed"]
+        assert report.failures == 2 and type(report.failures) is int
+        assert report.first_failure == "ValueError: coeffs must be finite"
+        assert np.isnan(report.mises[[1, 4]]).all()
+        for r in (0, 2, 3, 5):
+            d = fitted[r] - g[r]
+            assert report.mises[r].tobytes() == (d @ d).tobytes()
+        assert out["all_nan"].failures == 6
+        assert out["all_nan"].first_failure == "ValueError: coeffs must be finite"
+        assert np.isnan(out["all_nan"].mises).all()
 
     def test_programming_error_propagates(self):
         def buggy(stats):
