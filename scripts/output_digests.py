@@ -40,6 +40,8 @@ RUNS = {
     "study2_b5000": "study2 --alpha 0.5 --budget 5000 --density 6 --replicates 20 --seed 1",
     "study2_b20000": ("study2 --alpha 1.5 --alpha-tilde 0.3 --budget 20000 --density 7 "
                       "--replicates 9 --seed 5"),
+    # a two-column rectangle: m in {3, 6} at every n, 8 of the 13 cells with m >= 2
+    "study2_b100": "study2 --alpha 1.0 --budget 100 --density 6 --replicates 5 --seed 3",
     "compare_fixture": f"compare --data {FIXTURE}",
     "simulate_n151_m60": "simulate --n 151 --m 60 --alpha 0.2 --seed 2",
     # {OUT} is the temporary output root: this compares the table written above

@@ -187,13 +187,19 @@ def _cmd_study2(args) -> int:
     _check_density(args)
     grid = enumerate_designs(args.budget, args.alpha, args.alpha_tilde,
                              mode="product", density=args.density)
-    prior = Spectrum(args.alpha)
-    deviation = Spectrum(args.alpha_tilde)
-    cfgs = [ModelConfig(n, m, prior, deviation)
-            for n, m in sorted({(p.n, p.m) for p in grid.points}) if m >= 2]
-    if not cfgs:
+    # emit_heatmap draws only a rectangle, so only its cells are fitted: each n
+    # that has a design with at least 2 subjects, by the m values all of them share
+    by_n = {}
+    for p in grid.points:
+        if p.m >= 2:
+            by_n.setdefault(p.n, set()).add(p.m)
+    if not by_n:
         raise ConfigError(f"budget {args.budget:g} at density {args.density} admits "
                           f"no design with at least 2 subjects")
+    common_m = sorted(set.intersection(*by_n.values()))
+    prior = Spectrum(args.alpha)
+    deviation = Spectrum(args.alpha_tilde)
+    cfgs = [ModelConfig(n, m, prior, deviation) for n in sorted(by_n) for m in common_m]
     # each replicate's stream is drawn once; every cell reads a prefix of it
     width = max(cfg.stats_width for cfg in cfgs)
     normals = replicate_normals(args.seed, args.replicates, width)
@@ -210,16 +216,9 @@ def _cmd_study2(args) -> int:
                   replicates=args.replicates, seed=args.seed,
                   tau=args.tau, tau1=args.tau1, tau2=args.tau2)
     for target, surface in (("g", surface_g), ("f", surface_f)):
-        # only rectangular sub-coverage can be drawn; restrict m to values
-        # present for every n
-        by_n = {}
-        for n, m, v in surface:
-            by_n.setdefault(n, {})[m] = v
-        common_m = sorted(set.intersection(*(set(d) for d in by_n.values())))
-        rect = [(n, m, by_n[n][m]) for n in sorted(by_n) for m in common_m]
         svg = os.path.join(args.out, f"heatmap_mise_{target}.svg")
         csv = os.path.join(args.out, f"heatmap_mise_{target}.csv")
-        emit_heatmap(rect, svg, csv, header_lines=_header_lines(config),
+        emit_heatmap(surface, svg, csv, header_lines=_header_lines(config),
                      label=f"mean_log_mise_{target}")
     _write_manifest(args.out, config)
     print(f"wrote heatmaps to {args.out}")

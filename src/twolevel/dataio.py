@@ -184,9 +184,15 @@ def _parse_lines(lines: list[str]):
 
 
 def load_table(path) -> MultiSubjectTable:
-    """Load and validate a multi-subject CSV file."""
-    with open(path) as fh:
-        return parse_table(fh.read())
+    """Load and validate a multi-subject UTF-8 CSV file."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise DataError(f"not UTF-8 text: byte 0x{raw[err.start]:02x} at offset "
+                        f"{err.start} ({err.reason})") from None
+    return parse_table(text)
 
 
 @dataclass(frozen=True)

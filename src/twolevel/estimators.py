@@ -123,7 +123,7 @@ def lepskii_threshold_g(stats: SubjectStats, tau: float = 6.5):
     Searches k in 1..floor(sqrt(n*m)) for the smallest level whose estimator is
     within ``tau * l / (n*m)`` (squared L2, via Parseval) of every finer one.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError("tau must be positive")
     bound = math.isqrt(stats.n * stats.m)
     if bound > stats.width:
@@ -159,7 +159,7 @@ def lepskii_thresholds_f(stats: SubjectStats, tau1: float = 4.5, tau2: float = 6
     """
     if stats.m < 2:
         raise ValueError("need at least 2 subjects; use single_subject_estimate for m = 1")
-    if tau1 <= 0 or tau2 <= 0:
+    if not (tau1 > 0 and tau2 > 0):
         raise ValueError("tau values must be positive")
     n, m = stats.n, stats.m
     bound2 = math.isqrt(n * m)
@@ -176,7 +176,7 @@ def single_subject_threshold(stats: SubjectStats, tau: float = 2.0):
     """Threshold k of the single-subject baseline, from its own coefficients
     alone: k in 1..floor(sqrt(n)) with the comparison bound ``tau * l / (n*m)``.
     An int for one row, one k per row for a stack."""
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError("tau must be positive")
     bound = math.isqrt(stats.n)
     if bound > stats.width:

@@ -213,6 +213,32 @@ class TestStudies:
         assert code == 0, err
         assert keys == [(7, 0), (7, 1), (7, 2)]
 
+    @pytest.mark.parametrize("budget,density,drawn_m,cells", [("120", "4", [5], 3),
+                                                               ("100", "6", [3, 6], 8)],
+                             ids=["b120_d4", "b100_d6"])
+    def test_study2_fits_only_the_drawn_cells(self, tmp_path, capsys, monkeypatch,
+                                              budget, density, drawn_m, cells):
+        # the heatmaps draw the m values feasible at every n; a cell outside
+        # that rectangle is never fitted
+        from twolevel import cli
+        original, fitted = cli.run_monte_carlo, []
+
+        def recording(cfg, *args, **kwargs):
+            fitted.append((cfg.n, cfg.m))
+            return original(cfg, *args, **kwargs)
+        monkeypatch.setattr(cli, "run_monte_carlo", recording)
+        out = tmp_path / "s2"
+        code, _, err = run(capsys, "study2", "--alpha", "1.0", "--budget", budget,
+                           "--density", density, "--replicates", "2", "--seed", "1",
+                           "--out", str(out))
+        assert code == 0, err
+        assert len(fitted) == cells
+        assert sorted({m for _, m in fitted}) == drawn_m
+        for target in ("g", "f"):
+            rows = [ln.split(",") for ln in (out / f"heatmap_mise_{target}.csv")
+                    .read_text().splitlines() if not ln.startswith("#")][1:]
+            assert fitted == [(int(n), int(m)) for n, m, *_ in rows]
+
     @pytest.mark.parametrize("budget,density", [("1", "6"), ("3", "1")])
     def test_study2_without_a_two_subject_cell_is_config_error(self, tmp_path, capsys,
                                                                budget, density):
@@ -253,6 +279,15 @@ class TestStudies:
                                   "adaptive_f_tau4.5_6.5 are possible: need at least 2 "
                                   "subjects, got m = 1\n")
         assert not (tmp_path / "s1").exists()
+
+    def test_study1_nan_tau_writes_nothing(self, tmp_path, capsys):
+        # NaN fails every comparison, so "tau <= 0" would let it select silently
+        out = tmp_path / "s1"
+        code, _, err = run(capsys, "study1", "--n", "30", "--m", "4", "--alpha", "1.0",
+                           "--replicates", "3", "--tau", "nan", "--out", str(out))
+        assert (code, err) == (2, "config error: no successful replicates for adaptive_g_taunan; "
+                                  "first failure: ValueError: tau must be positive\n")
+        assert not out.exists()
 
     def test_study1_default_k_max_covers_fixed_thresholds(self, tmp_path, capsys):
         # the README line: fixed_g_beta0.2 keeps ceil(10000^(1/1.4)) = 720
@@ -338,11 +373,19 @@ class TestDataCommands:
                                               ("--tau2", "tau values must be positive"),
                                               ("--tau-single", "tau must be positive")])
     def test_nonpositive_tau_is_config_error(self, table_csv, capsys, flag, message):
-        code, out, err = run(capsys, "compare", "--data", str(table_csv), "--test-a", "4",
-                             "--test-b", "-2", "--test-count", "10", flag, "-1")
-        assert code == 2
-        assert err == f"config error: {message}\n"
-        assert out == ""
+        for value in ("-1", "nan"):
+            code, out, err = run(capsys, "compare", "--data", str(table_csv), "--test-a", "4",
+                                 "--test-b", "-2", "--test-count", "10", flag, value)
+            assert code == 2
+            assert err == f"config error: {message}\n"
+            assert out == ""
+
+    def test_non_utf8_data_file_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"subject,i,t,y\na,1,0.5,1.0\n\xff\n")
+        code, out, err = run(capsys, "compare", "--data", str(bad))
+        assert (code, out) == (3, "")
+        assert err == "data error: not UTF-8 text: byte 0xff at offset 26 (invalid start byte)\n"
 
     def test_constant_times_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "constant.csv"

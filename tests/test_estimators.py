@@ -236,7 +236,7 @@ class TestLepskiiSelectors:
             k = single_subject_threshold(SubjectStats(100, 7, row, np.zeros(40)))
             assert k == brute_force_min_k(row**2, 2.0, 700, 10)
 
-    @pytest.mark.parametrize("tau", [0.0, -1.0])
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
     def test_single_subject_rejects_nonpositive_tau(self, tau):
         stats = SubjectStats(100, 7, np.ones(40), np.zeros(40))
         with pytest.raises(ValueError, match="tau must be positive"):
