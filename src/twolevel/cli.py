@@ -64,6 +64,14 @@ def _check_density(args) -> None:
         raise ConfigError(f"density must be at least 1, got {args.density}")
 
 
+def _check_taus(args, *flags: str) -> None:
+    """Reject a tau flag that is not positive, NaN included, before any draw."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if not value > 0:
+            raise ConfigError(f"{flag} must be positive, got {value}")
+
+
 def _cmd_rates(args) -> int:
     q = RateQuery(n=args.n, m=args.m, alpha=args.alpha, alpha_tilde=args.alpha_tilde)
     print(f"rate_g={rate_g(q):.6g} rate_f={rate_f(q):.6g}")
@@ -166,6 +174,7 @@ def _run_reports(cfg, plan, args, out_dir, command):
 
 
 def _cmd_study1(args) -> int:
+    _check_taus(args, "--tau", "--tau1", "--tau2")
     prior, deviation = _spectra(args)
     cfg = ModelConfig(args.n, args.m, prior, deviation, k_max=args.k_max)
     # the plan's widest fixed threshold must fit in k_max; checked before sampling
@@ -184,6 +193,7 @@ def _cmd_study1(args) -> int:
 
 
 def _cmd_study2(args) -> int:
+    _check_taus(args, "--tau", "--tau1", "--tau2")
     _check_density(args)
     grid = enumerate_designs(args.budget, args.alpha, args.alpha_tilde,
                              mode="product", density=args.density)
@@ -226,6 +236,11 @@ def _cmd_study2(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    # the selectors' own checks, made before the table is read
+    if not (args.tau1 > 0 and args.tau2 > 0):
+        raise ConfigError("tau values must be positive")
+    if not args.tau_single > 0:
+        raise ConfigError("tau must be positive")
     spec = SplitSpec(args.test_a, args.test_b, args.test_count)
     # rescaled times and aliased coefficients are reported, not fatal
     with warnings.catch_warnings(record=True) as caught:
@@ -256,6 +271,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    _check_taus(args, "--tau1", "--tau2")
     prior, deviation = _spectra(args)
     cfg = ModelConfig(args.n, args.m, prior, deviation, k_max=args.k_max)
     if cfg.m < 2:  # the adaptive k1 and k2 pool the other m - 1 subjects

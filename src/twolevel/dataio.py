@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, filterfalse, islice
+from operator import methodcaller
 
 import numpy as np
 
@@ -44,6 +45,8 @@ class DataWarning(UserWarning):
 
 
 HEADER = "subject,i,t,y"
+# Characters split into lines at a time: bounds the line strings held at once.
+CHUNK_CHARS = 1 << 18
 # Data lines converted per block: bounds the field strings held at once.
 BLOCK_LINES = 8192
 
@@ -51,18 +54,17 @@ BLOCK_LINES = 8192
 def parse_table(text: str) -> MultiSubjectTable:
     """Parse and validate a ``subject,i,t,y`` CSV; see :func:`load_table`.
 
-    Valid tables take a block-vectorised route; any input it rejects is
-    parsed again line by line, which raises the error of the first bad line
-    or subject.  Warns (:class:`DataWarning`) when it rescales the times.
+    Valid tables take a block-vectorised route that reads the text
+    ``CHUNK_CHARS`` characters at a time and never holds a list of all its
+    lines; any input it rejects is parsed again line by line, which raises
+    the error of the first bad line or subject.  Warns
+    (:class:`DataWarning`) when it rescales the times.
     """
-    lines = text.splitlines()
-    body = list(compress(lines, map(str.strip, lines)))
-    if "#" in text:
-        body = [ln for ln in body if not ln.startswith("#")]
+    rows = _rows(text)
     parsed = None
-    if body and body[0].strip() == HEADER:
-        parsed = _parse_blocks(body[1:])
-    ids, indices, times, values = parsed or _parse_lines(lines)
+    if next(rows, "").strip() == HEADER:
+        parsed = _parse_blocks(rows)
+    ids, indices, times, values = parsed or _parse_lines(text.splitlines())
     lo, hi = float(times.min()), float(times.max())
     rescaled = lo < 0.0 or hi > 1.0
     if rescaled:
@@ -84,18 +86,36 @@ def parse_table(text: str) -> MultiSubjectTable:
     return table
 
 
-def _parse_blocks(rows: list[str]):
+def _chunks(text: str):
+    """Slices of ``text`` of about ``CHUNK_CHARS`` characters, each cut just
+    after a "\\n".  ``str.splitlines`` always ends a line there ("\\r\\n"
+    too ends in "\\n"), so the slices split into exactly the lines of the
+    whole text."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + CHUNK_CHARS - 1) + 1 or len(text)
+        yield text[start:stop]
+        start = stop
+
+
+def _rows(text: str):
+    """Lazy iterator over the lines of ``text`` that are neither blank nor
+    ``#`` comments, split one chunk at a time."""
+    rows = filter(str.strip, chain.from_iterable(map(str.splitlines, _chunks(text))))
+    if "#" in text:
+        rows = filterfalse(methodcaller("startswith", "#"), rows)
+    return rows
+
+
+def _parse_blocks(rows):
     """(subject ids, then indices, times and values as (m, n) arrays in
-    subject order) of the data lines, or None if any line or subject is
-    invalid."""
-    count = len(rows)
-    codes = np.empty(count, dtype=np.intp)
-    idx = np.empty(count, dtype=np.int64)
-    t = np.empty(count)
-    y = np.empty(count)
+    subject order) of an iterable of data lines, or None if any line or
+    subject is invalid.  Reads ``BLOCK_LINES`` lines at a time and keeps
+    only their converted columns."""
+    rows = iter(rows)
+    columns = []  # (codes, idx, t, y) of each block
     ids: dict[str, int] = {}
-    for start in range(0, count, BLOCK_LINES):
-        block = rows[start:start + BLOCK_LINES]
+    while block := list(islice(rows, BLOCK_LINES)):
         size = len(block)
         # Joined by ",\n,", lines of 4 columns each put their fields at 5j..5j+3
         # and the size - 1 separator fields "\n" at 5j+4; no line holds a "\n",
@@ -103,25 +123,29 @@ def _parse_blocks(rows: list[str]):
         fields = ",\n,".join(block).split(",")
         if len(fields) != 5 * size - 1 or fields[4::5].count("\n") != size - 1:
             return None
-        stop = start + size
         # ids, i and t repeat: each distinct string is stripped or converted once
         codes_of = dict.fromkeys(fields[0::5])
         for raw in codes_of:
             codes_of[raw] = ids.setdefault(raw.strip(), len(ids))
-        codes[start:stop] = np.fromiter(map(codes_of.__getitem__, fields[0::5]), np.intp, size)
+        converted = [np.fromiter(map(codes_of.__getitem__, fields[0::5]), np.intp, size)]
         try:
-            for out, column, convert, dtype in ((idx, fields[1::5], int, np.int64),
-                                                (t, fields[2::5], float, float)):
+            for column, convert, dtype in ((fields[1::5], int, np.int64),
+                                           (fields[2::5], float, float)):
                 value_of = {s: convert(s) for s in set(column)}
-                out[start:stop] = np.fromiter(map(value_of.__getitem__, column), dtype, size)
-            y[start:stop] = np.fromiter(map(float, fields[3::5]), float, size)
+                converted.append(np.fromiter(map(value_of.__getitem__, column), dtype, size))
+            converted.append(np.fromiter(map(float, fields[3::5]), float, size))
         except (ValueError, OverflowError):
             return None
+        columns.append(converted)
+    if not columns:
+        return None
+    codes, idx, t, y = (np.concatenate(col) for col in zip(*columns))
+    del columns  # the blocks' arrays, now copied
     if not (np.isfinite(t).all() and np.isfinite(y).all()):
         return None
     m = len(ids)
     counts = np.bincount(codes, minlength=m)
-    if m == 0 or np.any(counts != counts[0]):
+    if np.any(counts != counts[0]):
         return None
     n = int(counts[0])
     order = np.lexsort((idx, codes))
@@ -192,6 +216,7 @@ def load_table(path) -> MultiSubjectTable:
     except UnicodeDecodeError as err:
         raise DataError(f"not UTF-8 text: byte 0x{raw[err.start]:02x} at offset "
                         f"{err.start} ({err.reason})") from None
+    del raw  # the text alone is held while it is parsed
     return parse_table(text)
 
 

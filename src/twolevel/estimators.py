@@ -50,21 +50,35 @@ def empirical_coefficients(table: MultiSubjectTable, width: int) -> CoefficientP
 
 
 def leave_one_out_means(panel: CoefficientPanel) -> np.ndarray:
-    """Row j is the mean of every panel row but row j, for all j at once.
+    """Row j is the mean of every panel row but row j, for all j at once, as a
+    read-only array.
 
-    Bit for bit equal to the axis-0 mean of the panel without row j: each row
-    adds the other rows in index order, as numpy's axis-0 sum does, which
-    ``(colsum - row) / (m - 1)`` would not.  Costs m^2 K / 2 adds.
+    Bit for bit equal to the axis-0 mean of the panel without row j, which
+    ``(colsum - row) / (m - 1)`` would not be.  numpy's axis-0 sum adds whole
+    rows one after another, so row j folds c_{j+1}, ..., c_{m-1} into the
+    prefix sum c_0 + ... + c_{j-1} in one reduction; costs m^2 K / 2 adds.  A
+    single column is summed pairwise instead, so there each row reduces the
+    m - 1 others themselves, swapping in one per row (m^2 adds).
     """
     if panel.m < 2:
         raise ValueError("leave-one-out pooling needs at least 2 subjects")
-    c = panel.coeffs
+    c, m = panel.coeffs, panel.m
     out = np.empty_like(c)
-    out[0] = c[1]
-    np.cumsum(c[:-1], axis=0, out=out[1:])
-    for i in range(2, panel.m):
-        out[:i] += c[i]
-    out /= panel.m - 1
+    if panel.width == 1:
+        others = c[1:].copy()
+        for j in range(m):
+            np.add.reduce(others, axis=0, out=out[j])
+            if j < m - 1:
+                others[j] = c[j]
+    else:
+        np.add.reduce(c[1:], axis=0, out=out[0])
+        np.cumsum(c[:-1], axis=0, out=out[1:])
+        work = c.copy()
+        for j in range(1, m):
+            work[j] = out[j]
+            np.add.reduce(work[j:], axis=0, out=out[j])
+    out /= m - 1
+    out.setflags(write=False)
     return out
 
 

@@ -285,9 +285,27 @@ class TestStudies:
         out = tmp_path / "s1"
         code, _, err = run(capsys, "study1", "--n", "30", "--m", "4", "--alpha", "1.0",
                            "--replicates", "3", "--tau", "nan", "--out", str(out))
-        assert (code, err) == (2, "config error: no successful replicates for adaptive_g_taunan; "
-                                  "first failure: ValueError: tau must be positive\n")
+        assert (code, err) == (2, "config error: --tau must be positive, got nan\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("command,flag", [
+        ("study1", "--tau"), ("study1", "--tau1"), ("study1", "--tau2"),
+        ("study2", "--tau"), ("study2", "--tau1"), ("study2", "--tau2"),
+        ("oracle-check", "--tau1"), ("oracle-check", "--tau2")])
+    def test_nonpositive_tau_fails_before_sampling(self, tmp_path, capsys, monkeypatch,
+                                                   command, flag, value):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a replicate stream was drawn")
+        monkeypatch.setattr("twolevel.simulate.substream", refuse)
+        sizes = {"study2": ("--budget", "120", "--density", "4", "--replicates", "3"),
+                 "study1": ("--n", "30", "--m", "4", "--replicates", "3"),
+                 "oracle-check": ("--n", "30", "--m", "4")}[command]
+        out_flag = () if command == "oracle-check" else ("--out", str(tmp_path / "o"))
+        code, out, err = run(capsys, command, *sizes, "--alpha", "1.0", flag, value, *out_flag)
+        assert (code, out) == (2, "")
+        assert err == f"config error: {flag} must be positive, got {float(value)}\n"
+        assert not (tmp_path / "o").exists()
 
     def test_study1_default_k_max_covers_fixed_thresholds(self, tmp_path, capsys):
         # the README line: fixed_g_beta0.2 keeps ceil(10000^(1/1.4)) = 720
@@ -379,6 +397,17 @@ class TestDataCommands:
             assert code == 2
             assert err == f"config error: {message}\n"
             assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--tau1", "--tau2", "--tau-single"])
+    def test_nonpositive_tau_fails_before_the_table_is_read(self, tmp_path, capsys,
+                                                             monkeypatch, flag):
+        def refuse(path):
+            raise AssertionError("the table was read")
+        monkeypatch.setattr("twolevel.cli.load_table", refuse)
+        code, out, err = run(capsys, "compare", "--data", str(tmp_path / "absent.csv"),
+                             flag, "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: tau")
 
     def test_non_utf8_data_file_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import pathlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +20,20 @@ from twolevel.simulate import CoefficientPanel, ModelConfig, simulate_regression
 
 from reference import rmspe, subject_stats
 
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+# from one line per chunk (a chunk ends at the first "\n" past CHUNK_CHARS - 1
+# characters) to one chunk for the whole text
+CHUNK_SIZES = [1, 5, 64, dataio.CHUNK_CHARS]
+
+
+def load_script(relative_path):
+    """A repository script (not a package module) imported from its path."""
+    path = ROOT / relative_path
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 def make_table(n=12, m=3, fn=lambda sid, t: np.sin(2 * np.pi * t) + sid):
     lines = ["subject,i,t,y"]
@@ -35,6 +50,24 @@ ROW_EDITS = [lambda r: r.replace(",", ",,", 1), lambda r: r.replace(",", "", 1),
              lambda r: r.replace("1", "1_0", 1), lambda r: r.replace("0", "nan", 1),
              lambda r: r.replace("0", "9", 1), lambda r: " " + r.replace(",", " ,") + "\t",
              lambda r: r.replace(".", "x", 1), lambda r: "  "]
+
+
+def assert_matches_line_route(monkeypatch, text):
+    """parse_table's block route accepts ``text`` and gives the ids, arrays
+    and dtypes of the line route."""
+    ids, indices, times, values = dataio._parse_lines(text.splitlines())
+
+    def refuse(lines):
+        raise AssertionError("the block route rejected the text")
+    with monkeypatch.context() as patch:
+        patch.setattr(dataio, "_parse_lines", refuse)
+        table = parse_table(text)
+    assert table.subject_ids == ids
+    for got, want in ((table.indices, indices), (table.times, times),
+                      (table.values, values)):
+        for a, b in zip(got, want, strict=True):
+            np.testing.assert_array_equal(a, b)
+            assert a.dtype == b.dtype
 
 
 def parse_error(text):
@@ -157,14 +190,7 @@ class TestParse:
         body[2] = " " + body[2].replace(",", " ,", 2) + "\t"
         text = "# comment\r\nsubject,i,t,y\r\n\r\n" + "\r\n".join(body[:9]) + \
             "\n  \n#\n" + "\n".join(body[9:])
-        table = parse_table(text)
-        ids, indices, times, values = dataio._parse_lines(text.splitlines())
-        assert table.subject_ids == ids
-        for got, want in ((table.indices, indices), (table.times, times),
-                          (table.values, values)):
-            for a, b in zip(got, want, strict=True):
-                np.testing.assert_array_equal(a, b)
-                assert a.dtype == b.dtype
+        assert_matches_line_route(monkeypatch, text)
 
     @pytest.mark.parametrize("block_lines", [1, 3, dataio.BLOCK_LINES])
     def test_repeated_fields_spelled_differently(self, monkeypatch, block_lines):
@@ -183,6 +209,50 @@ class TestParse:
         np.testing.assert_array_equal(got[2], np.tile([0.25, 0.5, 0.75], (4, 1)))
         np.testing.assert_array_equal(got[1], np.tile([1, 2, 3], (4, 1)))
 
+    @pytest.mark.parametrize("chunk_chars", CHUNK_SIZES)
+    @pytest.mark.parametrize("layout", ["line_breaks", "blanks_and_comments",
+                                        "long_preamble", "no_final_newline"])
+    def test_chunked_route_matches_line_route(self, monkeypatch, chunk_chars, layout):
+        monkeypatch.setattr(dataio, "CHUNK_CHARS", chunk_chars)
+        body = make_table(n=5, m=3).splitlines()
+        if layout == "line_breaks":
+            # every line break str.splitlines knows, "\r\n" and a lone "\r" included
+            breaks = ["\r\n", "\r", "\x0b", "\x1c", "\x85", "\u2028", "\n"]
+            text = "".join(ln + breaks[k % len(breaks)] for k, ln in enumerate(body))
+        elif layout == "blanks_and_comments":
+            text = ("\n \t\n".join(body[:7]) + "\n#a,1,0.5,1\n   \n" +
+                    "\n# note\n".join(body[7:]) + "\n")
+        elif layout == "long_preamble":
+            comment = "#" + "p" * 40 + "\n"
+            text = comment * (chunk_chars // len(comment) + 2) + "\n".join(body) + "\n"
+        else:
+            text = "\n".join(body)
+        assert "".join(dataio._chunks(text)) == text
+        assert_matches_line_route(monkeypatch, text)
+
+    @pytest.mark.parametrize("chunk_chars", CHUNK_SIZES)
+    def test_bad_line_in_a_later_chunk(self, monkeypatch, chunk_chars):
+        # line numbers count every line of the text, whichever chunk holds it
+        monkeypatch.setattr(dataio, "CHUNK_CHARS", chunk_chars)
+        lines = make_table(n=6, m=4).splitlines()
+        lines[20] = lines[20].rsplit(",", 1)[0]
+        assert parse_error("# c\r\n" + "\r\n".join(lines)) == \
+            "line 22: expected 4 columns, got 3"
+
+    def test_parse_holds_no_list_of_every_line(self, monkeypatch):
+        monkeypatch.setattr(dataio, "BLOCK_LINES", 512)
+        monkeypatch.setattr(dataio, "CHUNK_CHARS", 16384)
+        text = load_script("perfbench/workloads.py").compare_table_text(3, subjects=300)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            parse_table(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a list of the text's lines alone takes 2.3 times its length
+        assert peak < 2.5 * len(text)
+
     @settings(max_examples=40, deadline=None)
     @given(st.text(alphabet="subject,i\nty0123456789.# -e", max_size=300))
     def test_fuzz_never_crashes_unstructured(self, text):
@@ -194,10 +264,11 @@ class TestParse:
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(2, 5), st.integers(1, 4), st.sampled_from([1, 2, 3, 8192]),
+           st.sampled_from(CHUNK_SIZES),
            st.lists(st.tuples(st.integers(0, 99), st.sampled_from(ROW_EDITS)), max_size=3),
            st.randoms(use_true_random=False))
     def test_block_route_accepts_only_what_line_route_accepts(self, n, m, block_lines,
-                                                             edits, rnd):
+                                                             chunk_chars, edits, rnd):
         rows = make_table(n=n, m=m, fn=lambda sid, t: t / 7 - sid).splitlines()[1:]
         rnd.shuffle(rows)
         for k, edit in edits:
@@ -207,11 +278,12 @@ class TestParse:
             want = dataio._parse_lines(lines)
         except DataError:
             want = None
-        saved, dataio.BLOCK_LINES = dataio.BLOCK_LINES, block_lines
+        saved = dataio.BLOCK_LINES, dataio.CHUNK_CHARS
+        dataio.BLOCK_LINES, dataio.CHUNK_CHARS = block_lines, chunk_chars
         try:
-            got = dataio._parse_blocks([ln for ln in rows if ln.strip()])
+            got = dataio._parse_blocks(dataio._rows("\n".join(rows)))
         finally:
-            dataio.BLOCK_LINES = saved
+            dataio.BLOCK_LINES, dataio.CHUNK_CHARS = saved
         if want is None or got is None:
             assert got is None  # the line route then decides, and raises
         else:
@@ -366,10 +438,5 @@ class TestCompare:
 
 
 def test_make_fixture_reproduces_bundled_table():
-    root = pathlib.Path(__file__).resolve().parent.parent
-    spec = importlib.util.spec_from_file_location("make_fixture",
-                                                  root / "scripts" / "make_fixture.py")
-    make_fixture = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(make_fixture)
-    bundled = (root / "tests" / "fixtures" / "synthetic_curves.csv").read_text()
-    assert make_fixture.build_table_text() == bundled
+    bundled = (ROOT / "tests" / "fixtures" / "synthetic_curves.csv").read_text()
+    assert load_script("scripts/make_fixture.py").build_table_text() == bundled

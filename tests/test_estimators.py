@@ -136,13 +136,31 @@ class TestPooling:
         with pytest.raises(IndexError):
             subject_stats(panel, 6)
 
+    @staticmethod
+    def assert_loo_matches_reference(panel):
+        loo = leave_one_out_means(panel)
+        assert loo.shape == panel.coeffs.shape and not loo.flags.writeable
+        for j in range(panel.m):
+            want = pooled_coefficients(panel, exclude_subject=j)
+            np.testing.assert_array_equal(loo[j], want)
+            np.testing.assert_array_equal(np.signbit(loo[j]), np.signbit(want))
+
     @pytest.mark.parametrize("m", [2, 3, 20, 257])
     def test_leave_one_out_means_match_reference(self, m):
-        panel = random_panel(substream(16, m), n=20, m=m, width=24)
-        loo = leave_one_out_means(panel)
-        assert loo.shape == (m, 24)
-        for j in range(m):
-            np.testing.assert_array_equal(loo[j], pooled_coefficients(panel, exclude_subject=j))
+        self.assert_loo_matches_reference(random_panel(substream(16, m), n=20, m=m, width=24))
+
+    @pytest.mark.parametrize("m", [9, 20, 257])
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_leave_one_out_means_of_narrow_panels(self, width, m):
+        # numpy sums a single column pairwise, and wider panels row after row
+        self.assert_loo_matches_reference(random_panel(substream(17, m), n=20, m=m, width=width))
+
+    def test_leave_one_out_means_keep_the_sign_of_zero(self):
+        # the axis-0 mean of a column of -0.0 is +0.0; a mean built by adding
+        # rows onto the first one keeps -0.0
+        coeffs = np.array([[1.0, -0.0, 2.0], [-3.0, -0.0, 0.5], [0.25, -0.0, -1.0],
+                           [2.0, -0.0, 0.0], [-1.5, -0.0, 4.0]])
+        self.assert_loo_matches_reference(CoefficientPanel(n=4, m=5, coeffs=coeffs))
 
     def test_loo_requires_two_subjects(self):
         panel = CoefficientPanel(n=4, m=1, coeffs=[[1.0, 2.0]])
