@@ -2,7 +2,8 @@
 
 The runs cover both Monte Carlo studies, the data comparison on the bundled
 fixture and on a simulated 60-subject table, the oracle check, the rate
-printout, a rate heatmap and gradient maps under both budget modes.  Each
+printout, a rate heatmap and gradient maps under the product budget and
+under a two-level cost with a price per subject.  Each
 artifact is hashed with its ``#`` header lines dropped, and each run's stdout
 is hashed as ``<run>/stdout`` with the output directory replaced by ``OUT``.
 Manifests and SVG comments keep their ``twolevel = <version>`` line, so a
@@ -52,11 +53,9 @@ RUNS = {
     "oracle_n50_m20": "oracle-check --n 50 --m 20 --alpha 1.0 --seed 1",
     "rates_n100_m10": "rates --n 100 --m 10 --alpha 0.5",
     "heatmap_b5000": "heatmap --alpha 0.5 --alpha-tilde 1.0 --target f --budget 5000",
-    "gradient_product": ("gradient-map --alpha 1.0 --target f --budget 5000 "
-                         "--cost-n 3 --cost-m 0.5"),
-    "gradient_linear": ("gradient-map --alpha 0.5 --alpha-tilde 1.5 --target g "
-                        "--budget-mode linear_cost --budget 2000 --cost-n 0.25 --cost-m 4 "
-                        "--density 10"),
+    "gradient_product": "gradient-map --alpha 1.0 --target f --budget 5000",
+    "gradient_two_level": ("gradient-map --alpha 0.5 --alpha-tilde 1.5 --target g "
+                           "--budget 2000 --cost-subject 10 --density 10"),
 }
 # commands that print and write no directory
 STDOUT_ONLY = ("oracle-check", "rates")

@@ -57,9 +57,9 @@ class Spectrum:
             raise ValueError(f"eigenvalue index must be >= 1, got {k}")
         return self.scale * float(k) ** (-1.0 - 2.0 * self.decay)
 
-    def eigenvalues(self, count: int) -> np.ndarray:
-        """Vector of the first ``count`` eigenvalues."""
-        k = np.arange(1, count + 1, dtype=float)
+    def eigenvalues(self, count: int, start: int = 0) -> np.ndarray:
+        """Vector of the eigenvalues of k = start + 1 .. count."""
+        k = np.arange(start + 1, count + 1, dtype=float)
         return self.scale * k ** (-1.0 - 2.0 * self.decay)
 
     def tail_sum(self, after: int) -> float:

@@ -22,8 +22,7 @@ from . import __version__
 from .basis import FunctionSeries, Spectrum
 from .dataio import (DataError, DataWarning, SplitSpec, compare_estimators,
                      comparison_csv, load_table)
-from .design import (_candidates, check_budget, emit_gradient_map, emit_heatmap,
-                     enumerate_designs)
+from .design import emit_gradient_map, emit_heatmap, enumerate_designs, lattice
 from .estimators import lepskii_thresholds_f, oracle_thresholds
 from .risk import (RateQuery, adaptive_f, adaptive_g, fixed_g, fixed_g_threshold,
                    rate_f, rate_g, run_monte_carlo, single_subject_f)
@@ -81,11 +80,11 @@ def _cmd_rates(args) -> int:
 def _cmd_gradient_map(args) -> int:
     _check_density(args)
     grid = enumerate_designs(args.budget, args.alpha, args.alpha_tilde,
-                             mode=args.budget_mode, cost_n=args.cost_n,
-                             cost_m=args.cost_m, density=args.density)
+                             per_subject=args.cost_subject, per_obs=args.cost_obs,
+                             density=args.density)
     os.makedirs(args.out, exist_ok=True)
     config = dict(command="gradient-map", target=args.target, budget=args.budget,
-                  budget_mode=args.budget_mode, cost_n=args.cost_n, cost_m=args.cost_m,
+                  cost_subject=args.cost_subject, cost_obs=args.cost_obs,
                   alpha=args.alpha, alpha_tilde=args.alpha_tilde, density=args.density)
     svg = os.path.join(args.out, f"gradient_map_{args.target}.svg")
     csv = os.path.join(args.out, f"gradient_map_{args.target}.csv")
@@ -96,20 +95,16 @@ def _cmd_gradient_map(args) -> int:
 
 
 def _cmd_heatmap(args) -> int:
-    # rate surfaces are drawn on the full rectangle with each axis running up
-    # to the budget, not just the feasible (n * m <= budget) triangle
-    check_budget(args.budget)
-    if args.budget < 1:
-        raise ConfigError("budget must be at least 1")
+    # rate surfaces are drawn on the full rectangle over the lattice's n values,
+    # not just the feasible (n * m <= budget) triangle
     _check_density(args)
-    axis = _candidates(args.budget, args.density)
+    axis = sorted({n for n, _ in lattice(args.budget, args.density)})
     surface = []
     for n in axis:
         for m in axis:
             q = RateQuery(n=float(n), m=float(m), alpha=args.alpha,
                           alpha_tilde=args.alpha_tilde)
-            surface.append((int(n), int(m),
-                            math.log(rate_g(q) if args.target == "g" else rate_f(q))))
+            surface.append((n, m, math.log(rate_g(q) if args.target == "g" else rate_f(q))))
     os.makedirs(args.out, exist_ok=True)
     config = dict(command="heatmap", target=args.target, budget=args.budget,
                   alpha=args.alpha, alpha_tilde=args.alpha_tilde, density=args.density)
@@ -195,14 +190,12 @@ def _cmd_study1(args) -> int:
 def _cmd_study2(args) -> int:
     _check_taus(args, "--tau", "--tau1", "--tau2")
     _check_density(args)
-    grid = enumerate_designs(args.budget, args.alpha, args.alpha_tilde,
-                             mode="product", density=args.density)
     # emit_heatmap draws only a rectangle, so only its cells are fitted: each n
     # that has a design with at least 2 subjects, by the m values all of them share
     by_n = {}
-    for p in grid.points:
-        if p.m >= 2:
-            by_n.setdefault(p.n, set()).add(p.m)
+    for n, m in lattice(args.budget, args.density):
+        if m >= 2:
+            by_n.setdefault(n, set()).add(m)
     if not by_n:
         raise ConfigError(f"budget {args.budget:g} at density {args.density} admits "
                           f"no design with at least 2 subjects")
@@ -322,9 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p, need_nm=False)
     p.add_argument("--target", choices=("g", "f"), default="g")
     p.add_argument("--budget", type=float, default=5000.0)
-    p.add_argument("--budget-mode", choices=("product", "linear_cost"), default="product")
-    p.add_argument("--cost-n", type=float, default=1.0)
-    p.add_argument("--cost-m", type=float, default=1.0)
+    p.add_argument("--cost-subject", type=float, default=0.0,
+                   help="cost of a subject on top of its observations (default 0)")
+    p.add_argument("--cost-obs", type=float, default=1.0,
+                   help="cost of one observation (default 1)")
     p.add_argument("--density", type=int, default=12)
     p.add_argument("--out", default="out")
     p.set_defaults(func=_cmd_gradient_map)

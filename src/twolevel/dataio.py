@@ -274,6 +274,8 @@ def compare_estimators(table: MultiSubjectTable, spec: SplitSpec,
     if table.m < 2:
         raise DataError("comparison needs at least 2 subjects")
     train, test = split(table, spec)
+    if test.n == 0:
+        raise ValueError("test set must be nonempty")
     n, m = train.n, train.m
     width = max(math.isqrt(n * m), math.isqrt(n), 1)
     try:
@@ -282,8 +284,6 @@ def compare_estimators(table: MultiSubjectTable, spec: SplitSpec,
     except ValueError as err:
         # finite y values can still overflow the coefficient or leave-one-out sums
         raise DataError(f"cannot fit the training data: {err}") from None
-    if test.n == 0:
-        raise ValueError("test set must be nonempty")
     if panel.aliased:
         warnings.warn(f"fit width {width} exceeds n/2 = {n / 2:g} training points per "
                       f"subject; coefficients are aliased", DataWarning, stacklevel=2)

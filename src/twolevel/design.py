@@ -1,17 +1,23 @@
 """Budget-constrained (n, m) design exploration and static plot artifacts.
 
-Designs are integer lattices filtered by a sampling budget, either the
-product form ``n * m <= B`` or a linear cost model
-``cost_n * n + cost_m * m <= B``.  Cells are annotated with the theoretical
-rates and their gradients, weighted by the unit costs ``cost_n`` and
-``cost_m`` in either mode; emitters write self-contained SVG quiver/heatmap
+A design observes m subjects at n observations each.  It costs
+``m * (per_subject + per_obs * n)``: a fixed cost per subject plus one per
+observation taken, so the defaults ``per_subject=0, per_obs=1`` give the
+product budget ``n * m``.  :func:`lattice` lists the integer designs a budget
+admits, every pair or a log-spaced lattice, and every design command reads
+it.  :func:`enumerate_designs` annotates its designs with the theoretical
+rates and their gradients per unit step (one more observation per subject
+against one more subject), so the costs decide which designs appear, not
+where the arrows point.  Emitters write self-contained SVG quiver/heatmap
 figures plus CSV companions.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -19,6 +25,7 @@ from .risk import RateGradient, RateQuery, rate_f, rate_g, rate_gradient
 
 __all__ = [
     "check_budget",
+    "lattice",
     "DesignPoint",
     "DesignGrid",
     "enumerate_designs",
@@ -59,12 +66,6 @@ class DesignGrid:
         return len(self.points)
 
 
-def _feasible(n: int, m: int, budget: float, mode: str, cost_n: float, cost_m: float) -> bool:
-    if mode == "product":
-        return n * m <= budget
-    return cost_n * n + cost_m * m <= budget
-
-
 def check_budget(budget: float) -> None:
     """Reject a budget that is not a finite number in (0, 2**53]."""
     if not 0 < budget <= MAX_BUDGET:
@@ -75,47 +76,51 @@ def check_budget(budget: float) -> None:
 def _candidates(limit: int, density) -> np.ndarray:
     if density is None:
         return np.arange(1, limit + 1)
-    vals = np.unique(np.round(np.logspace(0.0, math.log10(max(limit, 1)), int(density))).astype(int))
+    vals = np.unique(np.round(np.logspace(0.0, math.log10(limit), int(density))).astype(int))
     return vals[(vals >= 1) & (vals <= limit)]
 
 
-def enumerate_designs(budget: float, alpha: float, alpha_tilde: float,
-                      mode: str = "product", cost_n: float = 1.0, cost_m: float = 1.0,
-                      density: int | None = None) -> DesignGrid:
-    """Feasible integer designs under the budget, annotated with rates.
+def lattice(budget: float, density: int | None = None, per_subject: float = 0.0,
+            per_obs: float = 1.0) -> list[tuple[int, int]]:
+    """The integer designs (n, m) with ``m * (per_subject + per_obs * n) <= budget``,
+    n ascending and then m.
 
-    ``density=None`` enumerates every feasible integer pair; otherwise a
-    log-spaced lattice of about ``density`` values per axis is used.
+    ``density=None`` takes every integer on each axis; otherwise about
+    ``density`` log-spaced values from 1 to the axis's largest feasible value.
+    The cost is compared exactly, on the floats as given.
     """
     check_budget(budget)
-    for name, cost in (("cost_n", cost_n), ("cost_m", cost_m)):
-        if not cost > 0:
-            raise ValueError(f"{name} must be positive, got {cost}")
-    if mode not in ("product", "linear_cost"):
-        raise ValueError(f"unknown budget mode {mode!r}")
-    if mode == "product":
-        n_limit = int(budget)
-        m_limit = int(budget)
-    else:
-        n_limit = int((budget - cost_m) / cost_n)
-        m_limit = int((budget - cost_n) / cost_m)
-    if n_limit < 1 or m_limit < 1:
+    if not 0 < per_obs < math.inf:
+        raise ValueError(f"per_obs must be a finite number above 0, got {per_obs!r}")
+    if not 0 <= per_subject < math.inf:
+        raise ValueError(f"per_subject must be a finite number of at least 0, "
+                         f"got {per_subject!r}")
+    cost0, cost1, total = Fraction(per_subject), Fraction(per_obs), Fraction(budget)
+    if total < cost0 + cost1:  # not even one subject observed once
         raise ValueError("budget admits no feasible design")
-    if max(n_limit, m_limit) > MAX_BUDGET:  # a unit cost below 1
-        raise ValueError(f"budget {budget!r} at unit costs ({cost_n!r}, {cost_m!r}) "
-                         f"admits axis values past 2**53 = {MAX_BUDGET}")
+    # the deepest design has one subject, the widest one observation each
+    n_limit, m_limit = (total - cost0) // cost1, total // (cost0 + cost1)
+    if max(n_limit, m_limit) > MAX_BUDGET:
+        raise ValueError(f"budget {budget!r} at per_subject {per_subject!r} and per_obs "
+                         f"{per_obs!r} admits axis values past 2**53 = {MAX_BUDGET}")
+    m_axis = _candidates(m_limit, density).tolist()
+    pairs = []
+    for n in _candidates(n_limit, density).tolist():
+        m_top = total // (cost0 + cost1 * n)
+        pairs += [(n, m) for m in m_axis[:bisect_right(m_axis, m_top)]]
+    return pairs
+
+
+def enumerate_designs(budget: float, alpha: float, alpha_tilde: float,
+                      per_subject: float = 0.0, per_obs: float = 1.0,
+                      density: int | None = None) -> DesignGrid:
+    """The designs of :func:`lattice`, annotated with their rates and the
+    rates' gradients per unit step of n and of m."""
     points = []
-    m_values = _candidates(m_limit, density)
-    for n in _candidates(n_limit, density):
-        for m in m_values:
-            if not _feasible(int(n), int(m), budget, mode, cost_n, cost_m):
-                continue
-            q = RateQuery(n=float(n), m=float(m), alpha=alpha, alpha_tilde=alpha_tilde)
-            points.append(DesignPoint(int(n), int(m), rate_g(q), rate_f(q),
-                                      rate_gradient(q, "g", cost_n, cost_m),
-                                      rate_gradient(q, "f", cost_n, cost_m)))
-    if not points:
-        raise ValueError("budget admits no feasible design")
+    for n, m in lattice(budget, density, per_subject, per_obs):
+        q = RateQuery(n=float(n), m=float(m), alpha=alpha, alpha_tilde=alpha_tilde)
+        points.append(DesignPoint(n, m, rate_g(q), rate_f(q),
+                                  rate_gradient(q, "g"), rate_gradient(q, "f")))
     return DesignGrid(tuple(points))
 
 
@@ -145,8 +150,8 @@ def gradient_csv(grid: DesignGrid) -> str:
 def emit_gradient_map(grid: DesignGrid, target: str, svg_path, csv_path,
                       header_lines=()) -> None:
     """Write a quiver-style SVG of unit negative-gradient arrows (colored by
-    whether the n-axis or m-axis component is cost-steeper) plus a CSV of the
-    underlying numbers."""
+    whether the n-axis or m-axis component is steeper per unit step) plus a
+    CSV of the underlying numbers."""
     if target not in ("g", "f"):
         raise ValueError(f"unknown target {target!r}")
     width = height = 640

@@ -238,6 +238,10 @@ def posterior_mean_f(stats: SubjectStats, prior: Spectrum, deviation: Spectrum):
     return _estimate((own * n + ybar * a) / (n + b / lamt))
 
 
+# terms summed per chunk of oracle_thresholds' top-down scan
+ORACLE_CHUNK = 2**15
+
+
 def oracle_thresholds(g_truth: FunctionSeries, deviation_spectrum: Spectrum,
                       n: int, m: int, search_max: int | None = None) -> tuple[int, int]:
     """Truth-dependent oracle thresholds (k1*, k2*) for the double-thresholding
@@ -247,26 +251,43 @@ def oracle_thresholds(g_truth: FunctionSeries, deviation_spectrum: Spectrum,
     k1* is the smallest k <= k2* with that bias plus the variance proxy
     ``k/n + sum_{k+1..k2*} (lambda~_l (1 + 1/m) + 1/(n m))`` at most ``2 k / n``.
     Tail sums past the working range use the analytic integral bound.
+
+    The bias falls and k/(n m) grows with k, so the k that meet the first
+    bound form a suffix: k2* is one above the largest k that fails it.  The
+    bias is summed down from ``search_max`` in chunks of ``ORACLE_CHUNK``
+    terms, each cumsum carrying the sum above it: the terms are added in the
+    order of one full-length cumsum, and of the arrays only the k2* variance
+    terms grow with n m.
     """
     if search_max is None:
         search_max = max(len(g_truth), n * m, 16)
-    lamt = deviation_spectrum.eigenvalues(search_max)
-    g_sq = g_truth.padded(search_max) ** 2
     tail_beyond = deviation_spectrum.tail_sum(search_max)
-    # bias[k] = sum_{l > k} (g_l^2 + lambda~_l), k = 0..search_max
-    combined = g_sq + lamt
-    bias = np.concatenate([np.cumsum(combined[::-1])[::-1], [0.0]]) + tail_beyond
-    k_grid = np.arange(search_max + 1)
-    feasible2 = np.nonzero(bias[1:] <= k_grid[1:] / (n * m))[0]
-    if feasible2.size == 0:
+    # bias_above: the bias at the k just above the chunk, k = search_max first
+    bias_above, carry, k2 = tail_beyond, 0.0, 1
+    if not bias_above <= search_max / (n * m):
         raise ValueError("oracle search range too small; raise search_max")
-    k2 = int(feasible2[0]) + 1
+    for hi in range(search_max, 1, -ORACLE_CHUNK):
+        lo = max(hi - ORACLE_CHUNK, 1)
+        # terms l = lo+1..hi, reversed: the bias of k = hi-1 down to lo
+        terms = deviation_spectrum.eigenvalues(hi, lo)[::-1]
+        g_part = g_truth.coeffs[lo:hi][::-1]
+        terms[terms.size - g_part.size:] += g_part ** 2
+        terms[0] += carry
+        sums = np.cumsum(terms)
+        carry = sums[-1]
+        bias = sums + tail_beyond
+        failed = np.nonzero(~(bias <= np.arange(hi - 1, lo - 1, -1) / (n * m)))[0]
+        if failed.size:
+            k2 = hi - int(failed[0])
+            bias_above = bias[failed[0] - 1] if failed[0] else bias_above
+            break
+        bias_above = bias[-1]
 
-    var_terms = lamt[:k2] * (1.0 + 1.0 / m) + 1.0 / (n * m)
+    var_terms = deviation_spectrum.eigenvalues(k2) * (1.0 + 1.0 / m) + 1.0 / (n * m)
     # variance[k] = k/n + sum_{l=k+1..k2} var_terms[l]
     var_tail = np.concatenate([np.cumsum(var_terms[::-1])[::-1], [0.0]])
     ks = np.arange(1, k2 + 1)
-    total = bias[k2] + ks / n + var_tail[1:]
+    total = bias_above + ks / n + var_tail[1:]
     feasible1 = np.nonzero(total <= 2.0 * ks / n)[0]
     k1 = int(feasible1[0]) + 1 if feasible1.size else k2
     return k1, k2

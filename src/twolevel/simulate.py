@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .basis import FunctionSeries, Spectrum, series_eval
+from .basis import FunctionSeries, Spectrum, fourier_matrices
 
 __all__ = [
     "ModelConfig",
@@ -295,14 +295,16 @@ def simulate_regression(cfg: ModelConfig, grids, seed: int, noise_sd: float = 1.
     grids = [np.asarray(g, dtype=float) for g in grids]
     if len(grids) != cfg.m:
         raise ValueError(f"need {cfg.m} grids, got {len(grids)}")
+    if len({grid.size for grid in grids}) > 1:  # before fourier_matrices stacks them
+        raise ValueError("subjects must share a common grid size")
     g = sample_population(cfg, substream(seed, 0))
     base = g.padded(cfg.k_max)
     dev_sd = np.sqrt(cfg.deviation_spectrum.eigenvalues(cfg.k_max))
     subjects, observations = [], []
-    for j, grid in enumerate(grids, start=1):
+    for j, (grid, psi) in enumerate(zip(grids, fourier_matrices(grids, cfg.k_max)), start=1):
         rng_j = substream(seed, j)
         f = FunctionSeries(base + dev_sd * rng_j.standard_normal(cfg.k_max))
-        y = series_eval(f, grid) + noise_sd * rng_j.standard_normal(grid.size)
+        y = psi @ f.coeffs + noise_sd * rng_j.standard_normal(grid.size)
         subjects.append(f)
         observations.append(y)
     table = MultiSubjectTable(tuple(str(j) for j in range(1, cfg.m + 1)),

@@ -180,3 +180,47 @@ def double_threshold_select(stats: SubjectStats, k1, k2) -> np.ndarray:
         conditions.append(columns < np.expand_dims(k2, -1))
         choices.append(stats.donor_mean)
     return np.select(conditions, choices)
+
+
+def oracle_thresholds_full(g_truth: FunctionSeries, deviation_spectrum: Spectrum,
+                           n: int, m: int, search_max: int | None = None) -> tuple[int, int]:
+    """``estimators.oracle_thresholds`` on full arrays of length ``search_max``:
+    the bias at every k from one reversed cumsum, and k2* the first k that
+    meets its bound."""
+    if search_max is None:
+        search_max = max(len(g_truth), n * m, 16)
+    lamt = deviation_spectrum.eigenvalues(search_max)
+    g_sq = g_truth.padded(search_max) ** 2
+    tail_beyond = deviation_spectrum.tail_sum(search_max)
+    # bias[k] = sum_{l > k} (g_l^2 + lambda~_l), k = 0..search_max
+    combined = g_sq + lamt
+    bias = np.concatenate([np.cumsum(combined[::-1])[::-1], [0.0]]) + tail_beyond
+    k_grid = np.arange(search_max + 1)
+    feasible2 = np.nonzero(bias[1:] <= k_grid[1:] / (n * m))[0]
+    if feasible2.size == 0:
+        raise ValueError("oracle search range too small; raise search_max")
+    k2 = int(feasible2[0]) + 1
+
+    var_terms = lamt[:k2] * (1.0 + 1.0 / m) + 1.0 / (n * m)
+    # variance[k] = k/n + sum_{l=k+1..k2} var_terms[l]
+    var_tail = np.concatenate([np.cumsum(var_terms[::-1])[::-1], [0.0]])
+    ks = np.arange(1, k2 + 1)
+    total = bias[k2] + ks / n + var_tail[1:]
+    feasible1 = np.nonzero(total <= 2.0 * ks / n)[0]
+    k1 = int(feasible1[0]) + 1 if feasible1.size else k2
+    return k1, k2
+
+
+def product_lattice(budget: float, density: int | None = None) -> list[tuple[int, int]]:
+    """The product-budget designs as the planner listed them before its
+    two-level cost: both axes from one list of candidates up to int(budget),
+    every integer or about ``density`` log-spaced values, and the pairs with
+    ``n * m <= budget``, n ascending and then m."""
+    limit = int(budget)
+    if density is None:
+        axis = np.arange(1, limit + 1)
+    else:
+        vals = np.unique(np.round(np.logspace(0.0, math.log10(max(limit, 1)),
+                                              int(density))).astype(int))
+        axis = vals[(vals >= 1) & (vals <= limit)]
+    return [(n, m) for n in axis.tolist() for m in axis.tolist() if n * m <= budget]

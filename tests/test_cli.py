@@ -9,6 +9,7 @@ import pytest
 
 from twolevel.basis import Spectrum
 from twolevel.cli import build_parser, cli_dispatch
+from twolevel.design import lattice
 from twolevel.estimators import lepskii_thresholds_f, oracle_thresholds
 from twolevel.simulate import (ModelConfig, replicate_normals, sample_population,
                                sample_stats, substream)
@@ -83,17 +84,62 @@ class TestArtifacts:
         axis = sorted({int(row[0]) for row in rows})
         assert axis == sorted({int(row[1]) for row in rows})
         assert axis[0] == 1 and axis[-1] <= 150.7
+        # the axis of gradient-map and study2 at this budget: its integer part
+        assert axis == sorted({n for n, _ in lattice(150, 12)})
 
-    @pytest.mark.parametrize("value", ["0", "-1", "nan"])
-    @pytest.mark.parametrize("cost", ["cost_n", "cost_m"])
-    @pytest.mark.parametrize("mode", ["product", "linear_cost"])
-    def test_gradient_map_nonpositive_cost_is_config_error(self, tmp_path, capsys,
-                                                           mode, cost, value):
-        code, out, err = run(capsys, "gradient-map", "--alpha", "1.0", "--budget-mode", mode,
-                             f"--{cost.replace('_', '-')}", value, "--out", str(tmp_path / "o"))
-        assert (code, out) == (2, "")
-        assert err == f"config error: {cost} must be positive, got {float(value)}\n"
+    def test_heatmap_below_one_unit_is_config_error(self, tmp_path, capsys):
+        code, out, err = run(capsys, "heatmap", "--alpha", "0.5", "--budget", "0.5",
+                             "--out", str(tmp_path / "o"))
+        assert (code, out, err) == (2, "", "config error: budget admits no feasible design\n")
         assert not (tmp_path / "o").exists()
+
+    COST_ERRORS = {"--cost-obs": "per_obs must be a finite number above 0",
+                   "--cost-subject": "per_subject must be a finite number of at least 0"}
+
+    @pytest.mark.parametrize("flag,value", [("--cost-obs", "0"), ("--cost-obs", "-1"),
+                                            ("--cost-obs", "nan"), ("--cost-subject", "-1"),
+                                            ("--cost-subject", "nan"),
+                                            ("--cost-subject", "inf")])
+    def test_gradient_map_bad_cost_is_config_error(self, tmp_path, capsys, flag, value):
+        code, out, err = run(capsys, "gradient-map", "--alpha", "1.0", flag, value,
+                             "--out", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert err == f"config error: {self.COST_ERRORS[flag]}, got {float(value)}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag,other", [("--cost-obs", "--cost-subject"),
+                                            ("--cost-subject", "--cost-obs")],
+                             ids=["obs-beside-subject", "subject-beside-obs"])
+    def test_gradient_map_bad_cost_beside_set_cost_is_config_error(self, tmp_path, capsys,
+                                                                   flag, other):
+        # a valid non-default cost on the other flag does not mask the bad one
+        code, out, err = run(capsys, "gradient-map", "--alpha", "1.0", other, "3", flag, "-1",
+                             "--out", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert err == f"config error: {self.COST_ERRORS[flag]}, got -1.0\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", ["--budget-mode", "--cost-n", "--cost-m"])
+    def test_gradient_map_has_no_linear_cost_flags(self, tmp_path, capsys, flag):
+        code, out, err = run(capsys, "gradient-map", "--alpha", "1.0", flag, "1",
+                             "--out", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {flag} 1" in err
+
+    def test_gradient_map_costs_shape_only_the_lattice(self, tmp_path, capsys):
+        def rows(*flags):
+            out = tmp_path / "-".join(flags)
+            code, _, err = run(capsys, "gradient-map", "--alpha", "0.5", "--budget", "2000",
+                               "--density", "10", *flags, "--out", str(out))
+            assert code == 0, err
+            lines = (out / "gradient_map_g.csv").read_text().splitlines()
+            body = [ln for ln in lines if not ln.startswith("#")][1:]
+            return {tuple(map(int, ln.split(",")[:2])): ln for ln in body}
+        product = rows()
+        costly = rows("--cost-subject", "10", "--cost-obs", "2")
+        assert set(costly) == set(lattice(2000, 10, per_subject=10.0, per_obs=2.0))
+        shared = set(costly) & set(product)
+        assert shared and all(costly[cell] == product[cell] for cell in shared)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e300", "9.3e18"])
     @pytest.mark.parametrize("command", ["gradient-map", "heatmap", "study2"])
@@ -377,6 +423,15 @@ class TestDataCommands:
                            "--test-a", "50", "--test-b", "0", "--test-count", "10")
         assert code == 3
 
+    def test_empty_test_set_is_config_error_before_the_fit(self, table_csv, capsys,
+                                                           monkeypatch):
+        # a table that could not be fitted would be a data error (exit 3); the
+        # empty test set is found first
+        def unfittable(*args, **kwargs):
+            raise ValueError("overflow")
+        monkeypatch.setattr("twolevel.dataio.empirical_coefficients", unfittable)
+        code, out, err = run(capsys, "compare", "--data", str(table_csv), "--test-count", "0")
+        assert (code, out, err) == (2, "", "config error: test set must be nonempty\n")
 
     def test_empty_train_split_is_data_error(self, capsys):
         fixture = pathlib.Path(__file__).parent / "fixtures" / "synthetic_curves.csv"

@@ -342,6 +342,14 @@ class TestSplit:
         with pytest.raises(ValueError, match="^test set must be nonempty$"):
             compare_estimators(table, SplitSpec(3, -1, 0))
 
+    def test_empty_test_set_found_before_the_fit(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the training data was fitted")
+        monkeypatch.setattr(dataio, "empirical_coefficients", refuse)
+        table = parse_table(make_table(n=12, m=2))
+        with pytest.raises(ValueError, match="^test set must be nonempty$"):
+            compare_estimators(table, SplitSpec(3, -1, 0))
+
     def test_unequal_hold_out_counts_rejected(self):
         indices = (np.arange(1, 5), np.array([1, 2, 5, 6]))
         table = MultiSubjectTable(("a", "b"), indices, tuple(i / 10.0 for i in indices),

@@ -1,9 +1,14 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
 from twolevel.design import (GRADIENT_CSV_HEADER, emit_gradient_map, emit_heatmap,
-                             enumerate_designs, gradient_csv)
+                             enumerate_designs, gradient_csv, lattice)
 from twolevel.risk import RateQuery, rate_f, rate_g
+
+from reference import product_lattice
 
 
 class TestEnumerate:
@@ -13,11 +18,31 @@ class TestEnumerate:
         expected = {(n, m) for n in range(1, 13) for m in range(1, 13) if n * m <= 12}
         assert pairs == expected
 
-    def test_linear_cost_budget(self):
-        grid = enumerate_designs(10, alpha=1.0, alpha_tilde=0.5,
-                                 mode="linear_cost", cost_n=2.0, cost_m=1.0)
-        for p in grid.points:
-            assert 2 * p.n + p.m <= 10
+    @pytest.mark.parametrize("per_subject,per_obs", [(0.0, 1.0), (10.0, 1.0), (0.5, 0.25),
+                                                     (3.0, 2.0)])
+    @pytest.mark.parametrize("budget", [1, 10, 37.5, 150.7])
+    def test_two_level_cost_budget(self, budget, per_subject, per_obs):
+        # every integer pair whose axis values could be feasible at all
+        brute = [(n, m) for n in range(1, int(budget / per_obs) + 2)
+                 for m in range(1, int(budget / (per_subject + per_obs)) + 2)
+                 if m * (per_subject + per_obs * n) <= budget]
+        if not brute:
+            with pytest.raises(ValueError, match="^budget admits no feasible design$"):
+                lattice(budget, per_subject=per_subject, per_obs=per_obs)
+        else:
+            assert lattice(budget, per_subject=per_subject, per_obs=per_obs) == brute
+
+    @pytest.mark.parametrize("budget", [1, 12, 100, 120, 150.7, 5000, 20000, 10**6, 2**53])
+    def test_default_cost_is_the_product_budget(self, budget):
+        # every integer pair too, where the pairs are few enough to list
+        for density in [*range(1, 20), *([None] if budget < 200 else [])]:
+            assert lattice(budget, density) == product_lattice(budget, density), density
+
+    @pytest.mark.parametrize("per_subject,per_obs", [(0.0, 1.0), (10.0, 1.0), (0.5, 0.25)])
+    def test_points_list_the_lattice(self, per_subject, per_obs):
+        grid = enumerate_designs(300, 1.0, 0.5, per_subject=per_subject, per_obs=per_obs,
+                                 density=7)
+        assert [(p.n, p.m) for p in grid.points] == lattice(300, 7, per_subject, per_obs)
 
     def test_density_thins_lattice(self):
         full = enumerate_designs(10000, alpha=1.0, alpha_tilde=0.5, density=8)
@@ -39,17 +64,25 @@ class TestEnumerate:
             enumerate_designs(-3, alpha=1.0, alpha_tilde=0.5)
 
     def test_cheap_axis_past_exact_integers(self):
-        # a unit cost below 1 lets an axis run past the budget itself
-        with pytest.raises(ValueError, match=r"admits axis values past 2\*\*53"):
-            enumerate_designs(1e15, alpha=1.0, alpha_tilde=0.5, mode="linear_cost",
-                              cost_n=1e-6, density=3)
-        grid = enumerate_designs(1e15, alpha=1.0, alpha_tilde=0.5, mode="linear_cost",
-                                 cost_n=0.5, density=3)
-        assert max(p.n for p in grid.points) <= 2e15
+        # a cost per observation below 1 lets the n axis run past the budget itself
+        with pytest.raises(ValueError, match=r"^budget 1000000000000000.0 at per_subject 0.0 "
+                                             r"and per_obs 1e-06 admits axis values past "
+                                             r"2\*\*53 = 9007199254740992$"):
+            lattice(1e15, 3, per_obs=1e-6)
+        pairs = lattice(1e15, 3, per_obs=0.5)
+        assert max(n for n, _ in pairs) == 2 * 10**15
+        assert max(m for _, m in pairs) == 2 * 10**15
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            enumerate_designs(10, 1.0, 0.5, mode="quadratic")
+    @pytest.mark.parametrize("name,value", [
+        ("per_obs", 0.0), ("per_obs", -1.0), ("per_obs", math.nan), ("per_obs", math.inf),
+        ("per_subject", -1.0), ("per_subject", math.nan), ("per_subject", math.inf)])
+    def test_bad_cost_rejected(self, name, value):
+        bound = {"per_obs": "above 0", "per_subject": "of at least 0"}[name]
+        message = re.escape(f"{name} must be a finite number {bound}, got {value!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            lattice(10, **{name: value})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            enumerate_designs(10, 1.0, 0.5, **{name: value})
 
 
 class TestGradientMap:

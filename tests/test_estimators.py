@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from twolevel import estimators
 from twolevel.basis import FunctionSeries, Spectrum
 from twolevel.estimators import (double_threshold_estimate_f,
                                  empirical_coefficients, leave_one_out_means,
@@ -17,8 +19,8 @@ from twolevel.estimators import (double_threshold_estimate_f,
 from twolevel.simulate import (CoefficientPanel, ModelConfig, SubjectStats,
                                sample_population, simulate_regression, substream)
 
-from reference import (double_threshold_select, pooled_coefficients, sample_panel,
-                       subject_stats)
+from reference import (double_threshold_select, oracle_thresholds_full, pooled_coefficients,
+                       sample_panel, subject_stats)
 
 
 def brute_force_min_k(sq_terms, tau, denom, bound):
@@ -389,3 +391,37 @@ class TestOracleThresholds:
         _, k2_small = oracle_thresholds(g, Spectrum(0.5), 100, 2)
         _, k2_big = oracle_thresholds(g, Spectrum(0.5), 100, 50)
         assert k2_big >= k2_small
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, estimators.ORACLE_CHUNK])
+    def test_chunked_scan_matches_full_arrays(self, monkeypatch, chunk):
+        # the same (k1*, k2*), or the same error, as one full-length cumsum
+        monkeypatch.setattr(estimators, "ORACLE_CHUNK", chunk)
+        rng = np.random.default_rng(27)
+        for n, m, alpha, alpha_tilde, length in [
+                (50, 4, 1.0, 0.5, 40), (3, 2, 0.3, 0.2, 2000), (1, 1, 2.5, 1.5, 1),
+                (400, 20, 0.5, 1.5, 40), (7, 3, 1.0, 0.5, 500), (200, 2, 2.5, 0.2, 1)]:
+            g = FunctionSeries(rng.standard_normal(length)
+                               * np.arange(1.0, length + 1) ** (-0.5 - alpha))
+            dev = Spectrum(alpha_tilde)
+            for search_max in (None, 16, max(length, n * m) + 5):
+                try:
+                    want = oracle_thresholds_full(g, dev, n, m, search_max)
+                except ValueError as err:
+                    want = str(err)
+                try:
+                    got = oracle_thresholds(g, dev, n, m, search_max)
+                except ValueError as err:
+                    got = str(err)
+                assert got == want, (n, m, alpha, alpha_tilde, length, search_max)
+
+    def test_memory_bounded_in_n_m(self):
+        # full arrays of n m = 2e6 terms peaked at 93.5 MiB
+        g = FunctionSeries(1.0 / np.arange(1, 100.0) ** 1.5)
+        tracemalloc.start()
+        try:
+            got = oracle_thresholds(g, Spectrum(0.5), 2000, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == oracle_thresholds_full(g, Spectrum(0.5), 2000, 1000)
+        assert peak < 93.5 * 2**20 / 10

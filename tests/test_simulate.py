@@ -272,6 +272,27 @@ class TestSimulateRegression:
         for f, grid, y in zip(subs, table.times, table.values):
             np.testing.assert_allclose(y, series_eval(f, grid), atol=1e-12)
 
+    def test_design_matrix_built_where_the_grid_changes(self, cfg, monkeypatch):
+        from twolevel import basis
+        original, widths = basis.fourier_matrix, []
+
+        def counting(grid, width):
+            widths.append(width)
+            return original(grid, width)
+        monkeypatch.setattr(basis, "fourier_matrix", counting)
+        grids = self.grids(cfg)
+        grids[3] = grids[3] / 2  # subject 4 alone on its own grid
+        _, subs, table = simulate_regression(cfg, grids, seed=4, noise_sd=0.0)
+        assert widths == [cfg.k_max] * 3
+        for f, grid, y in zip(subs, table.times, table.values):
+            np.testing.assert_array_equal(y, series_eval(f, grid))
+
+    def test_grids_of_unequal_size_rejected(self, cfg):
+        grids = self.grids(cfg)
+        grids[-1] = grids[-1][:-1]
+        with pytest.raises(ValueError, match="^subjects must share a common grid size$"):
+            simulate_regression(cfg, grids, seed=4)
+
     def test_seed_determinism(self, cfg):
         _, _, d1 = simulate_regression(cfg, self.grids(cfg), seed=4)
         _, _, d2 = simulate_regression(cfg, self.grids(cfg), seed=4)
