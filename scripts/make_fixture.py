@@ -17,7 +17,8 @@ import pathlib
 import numpy as np
 
 from twolevel.basis import Spectrum
-from twolevel.dataio import SplitSpec, compare_estimators, comparison_csv, parse_table
+from twolevel.dataio import (SplitSpec, compare_estimators, comparison_csv, parse_table,
+                             table_csv)
 from twolevel.simulate import ModelConfig, simulate_regression
 
 SEED = 1
@@ -32,7 +33,7 @@ def build_table_text() -> str:
     grid = np.arange(N) / (N - 1)
     _, _, table = simulate_regression(cfg, [grid] * M, seed=SEED, noise_sd=NOISE_SD)
     names = tuple(f"subj{j:02d}" for j in range(1, M + 1))
-    return dataclasses.replace(table, subject_ids=names).to_csv()
+    return table_csv(dataclasses.replace(table, subject_ids=names))
 
 
 def main() -> None:

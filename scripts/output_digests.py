@@ -6,10 +6,12 @@ printout, a rate heatmap and gradient maps under the product budget and
 under a two-level cost with a price per subject.  Each
 artifact is hashed with its ``#`` header lines dropped, and each run's stdout
 is hashed as ``<run>/stdout`` with the output directory replaced by ``OUT``.
-Manifests and SVG comments keep their ``twolevel = <version>`` line, so a
-version bump changes their digests.  Two checkouts whose printed lines are
-equal produce the same numbers; diff the output of two checkouts to compare
-them.  The first lines, starting with ``#``, record the numpy and twolevel
+The dropped lines are pinned too: each run that writes files gets one
+``<run>/headers`` line, the hash of the ``#`` lines of its CSVs taken in
+file-name order.  Manifests, SVG comments and the headers lines keep the
+``twolevel = <version>`` line, so a version bump changes their digests.
+Two checkouts whose printed lines are equal produce the same numbers; diff
+the output of two checkouts to compare them.  The first lines, starting with ``#``, record the numpy and twolevel
 versions.  Imports ``twolevel`` from this checkout's ``src/``.
 
 ``tests/test_output_digests.py`` holds the lines against
@@ -66,8 +68,15 @@ def body_digest(text: str) -> str:
     return hashlib.sha256(body.encode()).hexdigest()
 
 
+def header_digest(paths) -> str:
+    heads = "".join(ln for path in paths for ln in path.read_text().splitlines(keepends=True)
+                    if ln.startswith("#"))
+    return hashlib.sha256(heads.encode()).hexdigest()
+
+
 def digest_lines() -> list[str]:
-    """The version lines, then one ``sha256  run/artifact`` line per output."""
+    """The version lines, then one ``sha256  run/artifact`` line per output
+    and one ``sha256  run/headers`` line per run that writes files."""
     lines = [f"# numpy = {np.__version__}", f"# twolevel = {__version__}"]
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp)
@@ -83,8 +92,12 @@ def digest_lines() -> list[str]:
             if status != 0:
                 raise RuntimeError(f"{name}: exit {status}")
             lines.append(f"{body_digest(stdout.getvalue().replace(tmp, 'OUT'))}  {name}/stdout")
-            for path in sorted((out / name).glob("*")) if (out / name).is_dir() else ():
+            paths = sorted((out / name).glob("*")) if (out / name).is_dir() else []
+            for path in paths:
                 lines.append(f"{body_digest(path.read_text())}  {name}/{path.name}")
+            if paths:
+                csvs = [path for path in paths if path.suffix == ".csv"]
+                lines.append(f"{header_digest(csvs)}  {name}/headers")
     return lines
 
 

@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Every artifact file begins with ``# key = value`` comment lines echoing the
-full effective configuration (including the master seed), so a run can be
-reproduced byte-exactly from any of its outputs.  Exit codes: 0 success,
-2 configuration error, 3 data error.
+Every artifact carries ``key = value`` lines echoing the full effective
+configuration (including the master seed), so a run can be reproduced
+byte-exactly from any of its outputs: a CSV begins with them as ``#`` lines,
+an SVG has them as comments right after its ``<svg>`` line, and
+``manifest.txt`` lists them bare.  :func:`_write_artifacts` alone writes
+files.  Exit codes: 0 success, 2 configuration error (an ``--out`` that
+cannot be written included), 3 data error.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 from . import __version__
 from .basis import FunctionSeries, Spectrum
 from .dataio import (DataError, DataWarning, SplitSpec, compare_estimators,
-                     comparison_csv, load_table)
+                     comparison_csv, load_table, table_csv)
 from .design import emit_gradient_map, emit_heatmap, enumerate_designs, lattice
 from .estimators import lepskii_thresholds_f, oracle_thresholds
 from .risk import (RateQuery, adaptive_f, adaptive_g, fixed_g, fixed_g_threshold,
@@ -35,23 +38,30 @@ class ConfigError(ValueError):
     pass
 
 
-def _header_lines(config: dict) -> list[str]:
-    lines = [f"twolevel = {__version__}"]
-    lines += [f"{k} = {v}" for k, v in config.items()]
-    return lines
+def _write_artifacts(out_dir: str, config: dict, files: dict) -> list[str]:
+    """Write each ``name: text`` of ``files`` into ``out_dir`` under the
+    configuration header, then ``manifest.txt``; returns the files' paths.
 
-
-def _write(path, content: str, config: dict) -> None:
-    with open(path, "w") as fh:
-        for ln in _header_lines(config):
-            fh.write(f"# {ln}\n")
-        fh.write(content)
-
-
-def _write_manifest(out_dir, config: dict) -> None:
-    with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
-        for ln in _header_lines(config):
-            fh.write(ln + "\n")
+    A directory or file that cannot be made is a :class:`ConfigError`.
+    """
+    lines = [f"twolevel = {__version__}"] + [f"{k} = {v}" for k, v in config.items()]
+    paths = [os.path.join(out_dir, name) for name in files]
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for path, text in zip(paths, files.values()):
+            with open(path, "w") as fh:
+                if path.endswith(".svg"):  # the <svg> element opens the file
+                    svg, _, text = text.partition("\n")
+                    fh.write(svg + "\n" + "".join(f"<!-- {ln} -->\n" for ln in lines))
+                else:
+                    fh.write("".join(f"# {ln}\n" for ln in lines))
+                fh.write(text)
+        with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
+            fh.write("".join(ln + "\n" for ln in lines))
+    except OSError as err:
+        raise ConfigError(f"cannot write --out {err.filename or out_dir}: "
+                          f"{err.strerror or err}") from None
+    return paths
 
 
 def _spectra(args) -> tuple[Spectrum, Spectrum]:
@@ -82,14 +92,13 @@ def _cmd_gradient_map(args) -> int:
     grid = enumerate_designs(args.budget, args.alpha, args.alpha_tilde,
                              per_subject=args.cost_subject, per_obs=args.cost_obs,
                              density=args.density)
-    os.makedirs(args.out, exist_ok=True)
     config = dict(command="gradient-map", target=args.target, budget=args.budget,
                   cost_subject=args.cost_subject, cost_obs=args.cost_obs,
                   alpha=args.alpha, alpha_tilde=args.alpha_tilde, density=args.density)
-    svg = os.path.join(args.out, f"gradient_map_{args.target}.svg")
-    csv = os.path.join(args.out, f"gradient_map_{args.target}.csv")
-    emit_gradient_map(grid, args.target, svg, csv, header_lines=_header_lines(config))
-    _write_manifest(args.out, config)
+    svg_text, csv_text = emit_gradient_map(grid, args.target)
+    svg, csv = _write_artifacts(args.out, config,
+                                {f"gradient_map_{args.target}.svg": svg_text,
+                                 f"gradient_map_{args.target}.csv": csv_text})
     print(f"wrote {svg} and {csv}")
     return 0
 
@@ -105,14 +114,12 @@ def _cmd_heatmap(args) -> int:
             q = RateQuery(n=float(n), m=float(m), alpha=args.alpha,
                           alpha_tilde=args.alpha_tilde)
             surface.append((n, m, math.log(rate_g(q) if args.target == "g" else rate_f(q))))
-    os.makedirs(args.out, exist_ok=True)
     config = dict(command="heatmap", target=args.target, budget=args.budget,
                   alpha=args.alpha, alpha_tilde=args.alpha_tilde, density=args.density)
-    svg = os.path.join(args.out, f"heatmap_rate_{args.target}.svg")
-    csv = os.path.join(args.out, f"heatmap_rate_{args.target}.csv")
-    emit_heatmap(surface, svg, csv, header_lines=_header_lines(config),
-                 label=f"log_rate_{args.target}")
-    _write_manifest(args.out, config)
+    svg_text, csv_text = emit_heatmap(surface, label=f"log_rate_{args.target}")
+    svg, csv = _write_artifacts(args.out, config,
+                                {f"heatmap_rate_{args.target}.svg": svg_text,
+                                 f"heatmap_rate_{args.target}.csv": csv_text})
     print(f"wrote {svg} and {csv}")
     return 0
 
@@ -128,13 +135,10 @@ def _cmd_simulate(args) -> int:
     grid = (np.arange(1, args.n + 1) - 0.5) / args.n
     grids = [grid] * args.m
     _, _, table = simulate_regression(cfg, grids, args.seed, noise_sd=args.noise_sd)
-    os.makedirs(args.out, exist_ok=True)
     config = dict(command="simulate", n=args.n, m=args.m, alpha=args.alpha,
                   alpha_tilde=args.alpha_tilde, noise_sd=args.noise_sd,
                   k_max=cfg.k_max, seed=args.seed)
-    path = os.path.join(args.out, "dataset.csv")
-    _write(path, table.to_csv(), config)
-    _write_manifest(args.out, config)
+    [path] = _write_artifacts(args.out, config, {"dataset.csv": table_csv(table)})
     print(f"wrote {path}")
     return 0
 
@@ -148,24 +152,6 @@ def _default_plan(args):
     plan += [fixed_g(beta) for beta in FIXED_G_BETAS]
     plan += [adaptive_f(args.tau1, args.tau2), single_subject_f()]
     return plan
-
-
-def _run_reports(cfg, plan, args, out_dir, command):
-    reports = run_monte_carlo(cfg, plan, args.replicates, args.seed)
-    # every summary row first: an estimator without one successful replicate
-    # fails the run before any file is written
-    summary = ["estimator,target,replicates,failures,median,mean,q1,q3,mean_log"]
-    summary += [report.summary_row() for report in reports.values()]
-    os.makedirs(out_dir, exist_ok=True)
-    config = dict(command=command, n=cfg.n, m=cfg.m, alpha=args.alpha,
-                  alpha_tilde=args.alpha_tilde, k_max=cfg.k_max,
-                  replicates=args.replicates, seed=args.seed,
-                  tau=args.tau, tau1=args.tau1, tau2=args.tau2)
-    for label, report in reports.items():
-        _write(os.path.join(out_dir, f"report_{label}.csv"), report.to_csv(), config)
-    _write(os.path.join(out_dir, "summary.csv"), "\n".join(summary) + "\n", config)
-    _write_manifest(out_dir, config)
-    return reports
 
 
 def _cmd_study1(args) -> int:
@@ -182,7 +168,18 @@ def _cmd_study1(args) -> int:
     if cfg.m < 2:  # the adaptive f rule pools the other m - 1 subjects
         raise ConfigError(f"no successful replicates for {adaptive_f(args.tau1, args.tau2).label} "
                           f"are possible: need at least 2 subjects, got m = {cfg.m}")
-    _run_reports(cfg, _default_plan(args), args, args.out, "study1")
+    reports = run_monte_carlo(cfg, _default_plan(args), args.replicates, args.seed)
+    # every summary row first: an estimator without one successful replicate
+    # fails the run before any file is written
+    summary = ["estimator,target,replicates,failures,median,mean,q1,q3,mean_log"]
+    summary += [report.summary_row() for report in reports.values()]
+    files = {f"report_{label}.csv": report.to_csv() for label, report in reports.items()}
+    files["summary.csv"] = "\n".join(summary) + "\n"
+    config = dict(command="study1", n=cfg.n, m=cfg.m, alpha=args.alpha,
+                  alpha_tilde=args.alpha_tilde, k_max=cfg.k_max,
+                  replicates=args.replicates, seed=args.seed,
+                  tau=args.tau, tau1=args.tau1, tau2=args.tau2)
+    _write_artifacts(args.out, config, files)
     print(f"wrote reports to {args.out}")
     return 0
 
@@ -213,17 +210,16 @@ def _cmd_study2(args) -> int:
         for report in reports.values():
             target_surface = surface_g if report.target == "g" else surface_f
             target_surface.append((cfg.n, cfg.m, report.mean_log))
-    os.makedirs(args.out, exist_ok=True)
     config = dict(command="study2", budget=args.budget, alpha=args.alpha,
                   alpha_tilde=args.alpha_tilde, density=args.density,
                   replicates=args.replicates, seed=args.seed,
                   tau=args.tau, tau1=args.tau1, tau2=args.tau2)
+    files = {}
     for target, surface in (("g", surface_g), ("f", surface_f)):
-        svg = os.path.join(args.out, f"heatmap_mise_{target}.svg")
-        csv = os.path.join(args.out, f"heatmap_mise_{target}.csv")
-        emit_heatmap(surface, svg, csv, header_lines=_header_lines(config),
-                     label=f"mean_log_mise_{target}")
-    _write_manifest(args.out, config)
+        svg_text, csv_text = emit_heatmap(surface, label=f"mean_log_mise_{target}")
+        files[f"heatmap_mise_{target}.svg"] = svg_text
+        files[f"heatmap_mise_{target}.csv"] = csv_text
+    _write_artifacts(args.out, config, files)
     print(f"wrote heatmaps to {args.out}")
     return 0
 
@@ -247,16 +243,14 @@ def _cmd_compare(args) -> int:
                 print(f"warning: {w.message}", file=sys.stderr)
     content = comparison_csv(results)
     wins = sum(1 for _, rs, rd in results if rd < rs)
-    if args.out:
+    if args.out_file:
         config = dict(command="compare", data=os.path.basename(args.data),
                       test_a=args.test_a, test_b=args.test_b,
                       test_count=args.test_count, tau1=args.tau1, tau2=args.tau2,
                       tau_single=args.tau_single)
-        out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
-        os.makedirs(out_dir, exist_ok=True)
-        _write(args.out, content, config)
-        _write_manifest(out_dir, config)
-        print(f"wrote {args.out}")
+        out_dir = os.path.dirname(os.path.abspath(args.out_file))
+        _write_artifacts(out_dir, config, {os.path.basename(args.out_file): content})
+        print(f"wrote {args.out_file}")
     else:
         sys.stdout.write(content)
     print(f"two-threshold wins on {wins} of {len(results)} subjects")
@@ -300,6 +294,11 @@ def _add_split_flags(p):
     p.add_argument("--tau-single", type=float, default=2.0)
 
 
+def _add_out_dir_flag(p):
+    p.add_argument("--out", default=None,
+                   help="output directory (default: $TWOLEVEL_OUT_DIR, else out)")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once: parsing leaves no state on it."""
@@ -320,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cost-obs", type=float, default=1.0,
                    help="cost of one observation (default 1)")
     p.add_argument("--density", type=int, default=12)
-    p.add_argument("--out", default="out")
+    _add_out_dir_flag(p)
     p.set_defaults(func=_cmd_gradient_map)
 
     p = sub.add_parser("heatmap", help="emit a rate-surface heatmap")
@@ -328,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", choices=("g", "f"), default="g")
     p.add_argument("--budget", type=float, default=5000.0)
     p.add_argument("--density", type=int, default=12)
-    p.add_argument("--out", default="out")
+    _add_out_dir_flag(p)
     p.set_defaults(func=_cmd_heatmap)
 
     p = sub.add_parser("simulate", help="generate a regression dataset CSV")
@@ -336,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-sd", type=float, default=1.0)
     p.add_argument("--k-max", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="out")
+    _add_out_dir_flag(p)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("study1", help="sequence-mode estimator comparison")
@@ -345,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=int, default=0)
     p.add_argument("--replicates", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="out")
+    _add_out_dir_flag(p)
     p.set_defaults(func=_cmd_study1)
 
     p = sub.add_parser("study2", help="budget-sweep mean-log-MISE heatmaps")
@@ -355,13 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=int, default=6)
     p.add_argument("--replicates", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="out")
+    _add_out_dir_flag(p)
     p.set_defaults(func=_cmd_study2)
 
     p = sub.add_parser("compare", help="single-subject vs two-threshold RMSPE comparison")
     p.add_argument("--data", required=True)
     _add_split_flags(p)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", dest="out_file", metavar="FILE", default=None,
+                   help="write the table to FILE (default: print it)")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("oracle-check", help="oracle vs adaptive thresholds on simulated data")
@@ -377,17 +377,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cli_dispatch(argv) -> int:
     """Run one CLI invocation; returns the process exit status."""
-    if env_out := os.environ.get("TWOLEVEL_OUT_DIR"):
-        argv = list(argv)
-        if "--out" not in argv and any(c in argv for c in
-                                       ("gradient-map", "heatmap", "simulate",
-                                        "study1", "study2")):
-            argv += ["--out", env_out]
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return int(err.code or 0)
+    # a directory command's --out: the flag, else TWOLEVEL_OUT_DIR, else out
+    if "out" in vars(args) and args.out is None:
+        args.out = os.environ.get("TWOLEVEL_OUT_DIR") or "out"
     try:
         return args.func(args)
     except (ConfigError, ValueError) as err:

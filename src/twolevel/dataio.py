@@ -29,6 +29,7 @@ __all__ = [
     "SplitSpec",
     "load_table",
     "parse_table",
+    "table_csv",
     "split",
     "compare_estimators",
     "comparison_csv",
@@ -218,6 +219,14 @@ def load_table(path) -> MultiSubjectTable:
                         f"{err.start} ({err.reason})") from None
     del raw  # the text alone is held while it is parsed
     return parse_table(text)
+
+
+def table_csv(table: MultiSubjectTable) -> str:
+    """The table as ``subject,i,t,y`` CSV text, the schema :func:`parse_table` reads."""
+    lines = [HEADER]
+    for sid, idx, t, y in zip(table.subject_ids, table.indices, table.times, table.values):
+        lines += [f"{sid},{i},{float(ti)!r},{float(yi)!r}" for i, ti, yi in zip(idx, t, y)]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ admits, every pair or a log-spaced lattice, and every design command reads
 it.  :func:`enumerate_designs` annotates its designs with the theoretical
 rates and their gradients per unit step (one more observation per subject
 against one more subject), so the costs decide which designs appear, not
-where the arrows point.  Emitters write self-contained SVG quiver/heatmap
-figures plus CSV companions.
+where the arrows point.  The emitters render self-contained SVG
+quiver/heatmap figures and their CSV companions as text; the CLI writes that
+text to files, with its configuration header.
 """
 
 from __future__ import annotations
@@ -128,13 +129,10 @@ def enumerate_designs(budget: float, alpha: float, alpha_tilde: float,
 # Artifact emitters
 
 
-def _svg_header(width: int, height: int, comment_lines) -> list[str]:
-    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-             f'viewBox="0 0 {width} {height}">']
-    for ln in comment_lines:
-        lines.append(f"<!-- {ln} -->")
-    lines.append(f'<rect width="{width}" height="{height}" fill="white"/>')
-    return lines
+def _svg_header(width: int, height: int) -> list[str]:
+    return [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+            f'viewBox="0 0 {width} {height}">',
+            f'<rect width="{width}" height="{height}" fill="white"/>']
 
 
 def gradient_csv(grid: DesignGrid) -> str:
@@ -147,11 +145,10 @@ def gradient_csv(grid: DesignGrid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_gradient_map(grid: DesignGrid, target: str, svg_path, csv_path,
-                      header_lines=()) -> None:
-    """Write a quiver-style SVG of unit negative-gradient arrows (colored by
-    whether the n-axis or m-axis component is steeper per unit step) plus a
-    CSV of the underlying numbers."""
+def emit_gradient_map(grid: DesignGrid, target: str) -> tuple[str, str]:
+    """A quiver-style SVG of unit negative-gradient arrows (colored by whether
+    the n-axis or m-axis component is steeper per unit step) and a CSV of the
+    underlying numbers, as ``(svg_text, csv_text)``."""
     if target not in ("g", "f"):
         raise ValueError(f"unknown target {target!r}")
     width = height = 640
@@ -161,7 +158,7 @@ def emit_gradient_map(grid: DesignGrid, target: str, svg_path, csv_path,
     span_x = max(xs.max() - xs.min(), 1e-9)
     span_y = max(ys.max() - ys.min(), 1e-9)
     arrow = 14.0
-    lines = _svg_header(width, height, header_lines)
+    lines = _svg_header(width, height)
     lines.append(f'<text x="{width // 2}" y="20" text-anchor="middle" '
                  f'font-family="monospace" font-size="13">negative rate gradient, '
                  f'target {target} (log10 n vs log10 m)</text>')
@@ -178,12 +175,7 @@ def emit_gradient_map(grid: DesignGrid, target: str, svg_path, csv_path,
                      f'stroke="{color}" stroke-width="1.5"/>')
         lines.append(f'<circle cx="{x2:.2f}" cy="{y2:.2f}" r="2" fill="{color}"/>')
     lines.append("</svg>")
-    with open(svg_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(csv_path, "w") as fh:
-        for ln in header_lines:
-            fh.write(f"# {ln}\n")
-        fh.write(gradient_csv(grid))
+    return "\n".join(lines) + "\n", gradient_csv(grid)
 
 
 def _check_rectangular(cells: dict):
@@ -195,9 +187,9 @@ def _check_rectangular(cells: dict):
     return ns, ms
 
 
-def emit_heatmap(surface, svg_path, csv_path, header_lines=(), bins: int = 9,
-                 label: str = "value") -> None:
-    """Color-binned heatmap of a rectangular (n, m, value) surface.
+def emit_heatmap(surface, bins: int = 9, label: str = "value") -> tuple[str, str]:
+    """Color-binned heatmap of a rectangular (n, m, value) surface, as
+    ``(svg_text, csv_text)``.
 
     Bin edges are value quantiles and are recorded in the CSV companion.
     """
@@ -218,7 +210,7 @@ def emit_heatmap(surface, svg_path, csv_path, header_lines=(), bins: int = 9,
     margin = 60
     cw = (width - 2 * margin) / len(ns)
     ch = (height - 2 * margin) / len(ms)
-    lines = _svg_header(width, height, header_lines)
+    lines = _svg_header(width, height)
     lines.append(f'<text x="{width // 2}" y="20" text-anchor="middle" '
                  f'font-family="monospace" font-size="13">{label} over (n, m)</text>')
     for i, n in enumerate(ns):
@@ -230,13 +222,7 @@ def emit_heatmap(surface, svg_path, csv_path, header_lines=(), bins: int = 9,
             lines.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw:.2f}" height="{ch:.2f}" '
                          f'fill="{color}"><title>n={n} m={m} {label}={cells[(n, m)]:.6g}</title></rect>')
     lines.append("</svg>")
-    with open(svg_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(csv_path, "w") as fh:
-        for ln in header_lines:
-            fh.write(f"# {ln}\n")
-        fh.write(f"# bin_edges = {','.join(repr(float(e)) for e in edges)}\n")
-        fh.write(f"n,m,{label},bin\n")
-        for i, n in enumerate(ns):
-            for j, m in enumerate(ms):
-                fh.write(f"{n},{m},{float(cells[(n, m)])!r},{cell_bins[i][j]}\n")
+    rows = [f"# bin_edges = {','.join(repr(float(e)) for e in edges)}", f"n,m,{label},bin"]
+    rows += [f"{n},{m},{float(cells[(n, m)])!r},{cell_bins[i][j]}"
+             for i, n in enumerate(ns) for j, m in enumerate(ms)]
+    return "\n".join(lines) + "\n", "\n".join(rows) + "\n"

@@ -195,13 +195,6 @@ class MultiSubjectTable:
     def n(self) -> int:
         return self.indices.shape[1]
 
-    def to_csv(self) -> str:
-        lines = ["subject,i,t,y"]
-        for sid, idx, t, y in zip(self.subject_ids, self.indices, self.times, self.values):
-            for i, ti, yi in zip(idx, t, y):
-                lines.append(f"{sid},{i},{float(ti)!r},{float(yi)!r}")
-        return "\n".join(lines) + "\n"
-
 
 def sample_population(cfg: ModelConfig, rng: np.random.Generator) -> FunctionSeries:
     """Draw g with independent N(0, lambda_k) coefficients, k = 1..k_max."""

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import twolevel
 from twolevel.basis import Spectrum
 from twolevel.cli import build_parser, cli_dispatch
 from twolevel.design import lattice
@@ -570,6 +571,45 @@ class TestOracleCheck:
         assert err == f"config error: need at least 2 subjects, got m = {m}\n"
 
 
+class TestHeaderContract:
+    """Every CSV opens with the manifest's lines as ``# `` lines, and every SVG
+    carries them as comments right after its ``<svg>`` line."""
+
+    # command: (files besides manifest.txt, flags)
+    RUNS = {
+        "gradient-map": (2, ("--alpha", "1.0", "--budget", "200", "--density", "5")),
+        "heatmap": (2, ("--alpha", "0.5", "--budget", "100", "--density", "4")),
+        "simulate": (1, ("--n", "10", "--m", "2", "--alpha", "1.0", "--seed", "4")),
+        "study1": (7, ("--n", "7", "--m", "2", "--alpha", "1.0", "--replicates", "2")),
+        "study2": (4, ("--alpha", "1.0", "--budget", "120", "--density", "4",
+                       "--replicates", "2")),
+        "compare": (1, ("--test-a", "4", "--test-b", "-2", "--test-count", "10")),
+    }
+
+    @pytest.mark.parametrize("command", list(RUNS))
+    def test_every_file_carries_the_manifest(self, tmp_path, table_csv, capsys, command):
+        out = tmp_path / "out"
+        n_files, flags = self.RUNS[command]
+        where = (("--data", str(table_csv), "--out", str(out / "rmspe.csv"))
+                 if command == "compare" else ("--out", str(out)))
+        code, _, err = run(capsys, command, *flags, *where)
+        assert code == 0, err
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert manifest[0] == f"twolevel = {twolevel.__version__}"
+        assert f"command = {command}" in manifest
+        files = sorted(p for p in out.iterdir() if p.name != "manifest.txt")
+        assert len(files) == n_files
+        for path in files:
+            lines = path.read_text().splitlines()
+            if path.suffix == ".svg":
+                assert lines[0].startswith("<svg ")
+                assert lines[1:1 + len(manifest)] == [f"<!-- {ln} -->" for ln in manifest]
+                assert lines[1 + len(manifest)].startswith("<rect ")
+            else:
+                assert path.suffix == ".csv"
+                assert lines[:len(manifest)] == [f"# {ln}" for ln in manifest]
+
+
 class TestDispatch:
     def test_unknown_command(self, capsys):
         assert cli_dispatch(["frobnicate"]) == 2
@@ -587,14 +627,52 @@ class TestDispatch:
         assert code == 0
         assert (target / "dataset.csv").exists()
 
-    def test_explicit_out_beats_env(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("spelling", ["--out DIR", "--out=DIR"],
+                             ids=["two-tokens", "one-token"])
+    def test_explicit_out_beats_env(self, tmp_path, capsys, monkeypatch, spelling):
         monkeypatch.setenv("TWOLEVEL_OUT_DIR", str(tmp_path / "envout"))
         explicit = tmp_path / "explicit"
+        flag = spelling.replace("DIR", str(explicit)).split(" ")
         code, _, _ = run(capsys, "simulate", "--n", "10", "--m", "2",
-                         "--alpha", "1.0", "--out", str(explicit))
+                         "--alpha", "1.0", *flag)
         assert code == 0
         assert (explicit / "dataset.csv").exists()
         assert not (tmp_path / "envout").exists()
+
+    def test_env_out_dir_leaves_compare_on_stdout(self, tmp_path, table_csv, capsys,
+                                                  monkeypatch):
+        # a table file named like a command is still just compare's input
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("TWOLEVEL_OUT_DIR", "envout")
+        table_csv.rename(tmp_path / "heatmap")
+        code, out, _ = run(capsys, "compare", "--data", "heatmap", "--test-a", "4",
+                           "--test-b", "-2", "--test-count", "10")
+        assert code == 0
+        assert out.startswith("subject,rmspe_single,rmspe_double,diff\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["heatmap"]
+
+    @pytest.mark.parametrize("command", ["simulate", "study1"])
+    def test_unwritable_out_dir_is_config_error(self, tmp_path, capsys, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        out, reason = ((blocker, "File exists") if command == "simulate"
+                       else (blocker / "sub", "Not a directory"))
+        code, stdout, err = run(capsys, command, "--n", "7", "--m", "2", "--alpha", "1.0",
+                                *(["--replicates", "2"] if command == "study1" else []),
+                                "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == f"config error: cannot write --out {out}: {reason}\n"
+        assert blocker.read_text() == "not a directory\n"
+
+    def test_compare_out_at_a_directory_is_config_error(self, tmp_path, table_csv, capsys):
+        out = tmp_path / "taken"
+        out.mkdir()
+        code, stdout, err = run(capsys, "compare", "--data", str(table_csv),
+                                "--test-a", "4", "--test-b", "-2", "--test-count", "10",
+                                "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == f"config error: cannot write --out {out}: Is a directory\n"
+        assert not (tmp_path / "manifest.txt").exists() and not any(out.iterdir())
 
     def test_entry_point_help(self, capsys):
         parser = build_parser()

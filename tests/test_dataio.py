@@ -13,7 +13,7 @@ from twolevel import dataio
 from twolevel.basis import Spectrum, fourier_matrix, series_eval
 from twolevel.dataio import (DataError, DataWarning, MultiSubjectTable, SplitSpec,
                              compare_estimators, comparison_csv, parse_table,
-                             split)
+                             split, table_csv)
 from twolevel.estimators import (double_threshold_estimate_f, lepskii_thresholds_f,
                                  single_subject_estimate)
 from twolevel.simulate import CoefficientPanel, ModelConfig, simulate_regression
@@ -79,7 +79,7 @@ def parse_error(text):
 class TestParse:
     def test_round_trip(self):
         table = parse_table(make_table())
-        again = parse_table(table.to_csv())
+        again = parse_table(table_csv(table))
         assert again.subject_ids == table.subject_ids
         for a, b in zip(again.values, table.values):
             np.testing.assert_array_equal(a, b)

@@ -96,39 +96,34 @@ class TestGradientMap:
         assert len(first) == 10
         assert first[8] in ("n", "m") and first[9] in ("n", "m")
 
-    def test_emit_writes_both_files(self, tmp_path):
+    def test_emit_renders_svg_and_csv(self):
         grid = enumerate_designs(50, alpha=1.0, alpha_tilde=0.5, density=6)
-        svg, csv = tmp_path / "map.svg", tmp_path / "map.csv"
-        emit_gradient_map(grid, "f", svg, csv, header_lines=["seed = 1"])
-        body = svg.read_text()
-        assert body.startswith("<svg")
-        assert body.rstrip().endswith("</svg>")
-        assert "<line" in body
-        assert csv.read_text().startswith("# seed = 1\n" + GRADIENT_CSV_HEADER)
+        svg, csv = emit_gradient_map(grid, "f")
+        assert svg.startswith("<svg")
+        assert svg.endswith("</svg>\n")
+        assert "<line" in svg and "<!--" not in svg
+        # the renderers carry no configuration header: the CLI adds it
+        assert csv == gradient_csv(grid)
 
-    def test_emit_deterministic(self, tmp_path):
+    def test_emit_deterministic(self):
         grid = enumerate_designs(50, alpha=1.0, alpha_tilde=0.5, density=6)
-        emit_gradient_map(grid, "g", tmp_path / "a.svg", tmp_path / "a.csv")
-        emit_gradient_map(grid, "g", tmp_path / "b.svg", tmp_path / "b.csv")
-        assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert emit_gradient_map(grid, "g") == emit_gradient_map(grid, "g")
 
-    def test_unknown_target(self, tmp_path):
+    def test_unknown_target(self):
         grid = enumerate_designs(10, alpha=1.0, alpha_tilde=0.5)
         with pytest.raises(ValueError):
-            emit_gradient_map(grid, "x", tmp_path / "x.svg", tmp_path / "x.csv")
+            emit_gradient_map(grid, "x")
 
 
 class TestHeatmap:
     def surface(self):
         return [(n, m, float(n + 10 * m)) for n in (1, 2, 4) for m in (1, 3)]
 
-    def test_emit_and_csv_contents(self, tmp_path):
-        svg, csv = tmp_path / "h.svg", tmp_path / "h.csv"
-        emit_heatmap(self.surface(), svg, csv, header_lines=["seed = 7"], label="risk")
-        body = csv.read_text()
-        assert body.startswith("# seed = 7\n# bin_edges = ")
-        assert "n,m,risk,bin" in body
+    def test_emit_and_csv_contents(self):
+        svg, body = emit_heatmap(self.surface(), label="risk")
+        assert svg.startswith("<svg") and "<title>n=4 m=3 risk=34</title>" in svg
+        assert body.startswith("# bin_edges = ")
+        assert body.splitlines()[1] == "n,m,risk,bin"
         rows = [ln for ln in body.splitlines() if ln and not ln.startswith("#")][1:]
         assert len(rows) == 6
         bins = [int(r.split(",")[3]) for r in rows]
@@ -137,14 +132,13 @@ class TestHeatmap:
         order = np.argsort(vals)
         assert all(bins[order[i]] <= bins[order[i + 1]] for i in range(len(order) - 1))
 
-    def test_constant_surface_single_bin(self, tmp_path):
+    def test_constant_surface_single_bin(self):
         flat = [(n, m, 2.5) for n in (1, 2) for m in (1, 2)]
-        emit_heatmap(flat, tmp_path / "f.svg", tmp_path / "f.csv")
-        rows = [ln for ln in (tmp_path / "f.csv").read_text().splitlines()
-                if ln and not ln.startswith("#")][1:]
+        _, csv = emit_heatmap(flat)
+        rows = [ln for ln in csv.splitlines() if ln and not ln.startswith("#")][1:]
         assert all(r.endswith(",0") for r in rows)
 
-    def test_ragged_surface_rejected(self, tmp_path):
+    def test_ragged_surface_rejected(self):
         bad = [(1, 1, 0.1), (1, 2, 0.2), (2, 1, 0.3)]
         with pytest.raises(ValueError, match="missing"):
-            emit_heatmap(bad, tmp_path / "r.svg", tmp_path / "r.csv")
+            emit_heatmap(bad)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twolevel.basis import FunctionSeries, Spectrum, series_eval
-from twolevel.dataio import parse_table
+from twolevel.dataio import parse_table, table_csv
 from twolevel.simulate import (ModelConfig, MultiSubjectTable, SubjectStats,
                                default_k_max, replicate_normals, sample_population,
                                sample_stats, simulate_regression, study1_grids,
@@ -343,7 +343,7 @@ class TestRegressionDataset:
         grid = (np.arange(10) + 0.5) / 10
         _, _, table = simulate_regression(cfg, [grid] * cfg.m, seed=6)
         assert table.subject_ids == tuple(str(j) for j in range(1, cfg.m + 1))
-        again = parse_table(table.to_csv())
+        again = parse_table(table_csv(table))
         assert again.subject_ids == table.subject_ids
         for column in ("indices", "times", "values"):
             for x, y in zip(getattr(table, column), getattr(again, column)):
