@@ -3,11 +3,10 @@ observations) function data under hierarchical Gaussian process models."""
 
 __version__ = "0.1.0"
 
-from .basis import (FunctionSeries, SobolevBall, Spectrum, series_eval,
-                    sobolev_norm_sq, tail_energy)
+from .basis import FunctionSeries, Spectrum, series_eval
 from .simulate import (CoefficientPanel, ModelConfig, SubjectStats,
                        sample_population, sample_stats, simulate_regression,
-                       study1_grids, substream)
+                       substream)
 from .estimators import (double_threshold_estimate_f,
                          empirical_coefficients, leave_one_out_means,
                          lepskii_min_k, lepskii_threshold_g,

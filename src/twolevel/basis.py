@@ -20,12 +20,9 @@ import numpy as np
 __all__ = [
     "Spectrum",
     "FunctionSeries",
-    "SobolevBall",
     "fourier_matrix",
     "fourier_matrices",
     "series_eval",
-    "sobolev_norm_sq",
-    "tail_energy",
 ]
 
 
@@ -135,31 +132,6 @@ class FunctionSeries:
         out[: min(len(self), width)] = self.coeffs[:width]
         return out
 
-    def to_csv(self) -> str:
-        """Serialize as ``k,coeff`` lines, one per nonzero index."""
-        lines = ["k,coeff"]
-        for i, c in enumerate(self.coeffs, start=1):
-            if c != 0.0:
-                lines.append(f"{i},{float(c)!r}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "FunctionSeries":
-        rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-        if not rows or rows[0] != "k,coeff":
-            raise ValueError("expected header 'k,coeff'")
-        pairs = []
-        for ln in rows[1:]:
-            k_str, c_str = ln.split(",")
-            pairs.append((int(k_str), float(c_str)))
-        width = max((k for k, _ in pairs), default=0)
-        out = np.zeros(width)
-        for k, c in pairs:
-            if k < 1:
-                raise ValueError(f"coefficient index must be >= 1, got {k}")
-            out[k - 1] = c
-        return cls(out)
-
 
 def series_eval(f: FunctionSeries, t):
     """Evaluate ``sum_k coeffs_k * psi_k(t)``."""
@@ -170,35 +142,3 @@ def series_eval(f: FunctionSeries, t):
     else:
         out = fourier_matrix(t, len(f)) @ f.coeffs
     return float(out[0]) if scalar else out
-
-
-def sobolev_norm_sq(f: FunctionSeries, smoothness: float) -> float:
-    """Return ``sum_k coeffs_k**2 * k**(2*smoothness)``."""
-    if len(f) == 0:
-        return 0.0
-    k = np.arange(1, len(f) + 1, dtype=float)
-    return float(np.sum(f.coeffs**2 * k ** (2.0 * smoothness)))
-
-
-def tail_energy(f: FunctionSeries, after: int) -> float:
-    """Return ``sum_{k > after} coeffs_k**2``."""
-    if after < 0:
-        after = 0
-    return float(np.sum(f.coeffs[after:] ** 2))
-
-
-@dataclass(frozen=True)
-class SobolevBall:
-    """Coefficient ellipsoid ``sum_k coeffs_k^2 k^(2*smoothness) <= radius^2``."""
-
-    smoothness: float
-    radius: float
-
-    def __post_init__(self):
-        if not self.smoothness > 0:
-            raise ValueError("smoothness must be positive")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
-
-    def contains(self, f: FunctionSeries) -> bool:
-        return sobolev_norm_sq(f, self.smoothness) <= self.radius**2

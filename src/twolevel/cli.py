@@ -26,7 +26,8 @@ from .basis import FunctionSeries, Spectrum
 from .dataio import (DataError, DataWarning, SplitSpec, compare_estimators,
                      comparison_csv, load_table, table_csv)
 from .design import emit_gradient_map, emit_heatmap, enumerate_designs, lattice
-from .estimators import lepskii_thresholds_f, oracle_thresholds
+from .estimators import (TAU1, TAU2, TAU_G, TAU_SINGLE, lepskii_thresholds_f,
+                         oracle_thresholds)
 from .risk import (RateQuery, adaptive_f, adaptive_g, fixed_g, fixed_g_threshold,
                    rate_f, rate_g, run_monte_carlo, single_subject_f)
 from .simulate import ModelConfig, replicate_normals, sample_stats, simulate_regression
@@ -197,8 +198,7 @@ def _cmd_study2(args) -> int:
         raise ConfigError(f"budget {args.budget:g} at density {args.density} admits "
                           f"no design with at least 2 subjects")
     common_m = sorted(set.intersection(*by_n.values()))
-    prior = Spectrum(args.alpha)
-    deviation = Spectrum(args.alpha_tilde)
+    prior, deviation = _spectra(args)
     cfgs = [ModelConfig(n, m, prior, deviation) for n in sorted(by_n) for m in common_m]
     # each replicate's stream is drawn once; every cell reads a prefix of it
     width = max(cfg.stats_width for cfg in cfgs)
@@ -225,11 +225,12 @@ def _cmd_study2(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    # the selectors' own checks, made before the table is read
-    if not (args.tau1 > 0 and args.tau2 > 0):
-        raise ConfigError("tau values must be positive")
-    if not args.tau_single > 0:
-        raise ConfigError("tau must be positive")
+    # the flags are checked before the table is read
+    _check_taus(args, "--tau1", "--tau2", "--tau-single")
+    if args.out_file:
+        out_dir, out_name = os.path.split(args.out_file)
+        if not out_name:  # "sub/" names a directory, not the table's file
+            raise ConfigError(f"cannot write --out {args.out_file}: Is a directory")
     spec = SplitSpec(args.test_a, args.test_b, args.test_count)
     # rescaled times and aliased coefficients are reported, not fatal
     with warnings.catch_warnings(record=True) as caught:
@@ -248,8 +249,7 @@ def _cmd_compare(args) -> int:
                       test_a=args.test_a, test_b=args.test_b,
                       test_count=args.test_count, tau1=args.tau1, tau2=args.tau2,
                       tau_single=args.tau_single)
-        out_dir = os.path.dirname(os.path.abspath(args.out_file))
-        _write_artifacts(out_dir, config, {os.path.basename(args.out_file): content})
+        _write_artifacts(out_dir or os.curdir, config, {out_name: content})
         print(f"wrote {args.out_file}")
     else:
         sys.stdout.write(content)
@@ -279,19 +279,19 @@ def _add_model_flags(p, need_nm=True):
                    help="deviation smoothness (default 0.5)")
 
 
-def _add_tau_flags(p):
-    p.add_argument("--tau", type=float, default=6.5)
-    p.add_argument("--tau1", type=float, default=4.5)
-    p.add_argument("--tau2", type=float, default=6.5)
+# each tau flag's default is its selector's
+TAU_DEFAULTS = {"--tau": TAU_G, "--tau1": TAU1, "--tau2": TAU2, "--tau-single": TAU_SINGLE}
+
+
+def _add_tau_flags(p, *flags: str):
+    for flag in flags:
+        p.add_argument(flag, type=float, default=TAU_DEFAULTS[flag])
 
 
 def _add_split_flags(p):
     p.add_argument("--test-a", type=int, default=3)
     p.add_argument("--test-b", type=int, default=-1)
     p.add_argument("--test-count", type=int, default=50)
-    p.add_argument("--tau1", type=float, default=4.5)
-    p.add_argument("--tau2", type=float, default=6.5)
-    p.add_argument("--tau-single", type=float, default=2.0)
 
 
 def _add_out_dir_flag(p):
@@ -340,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("study1", help="sequence-mode estimator comparison")
     _add_model_flags(p)
-    _add_tau_flags(p)
+    _add_tau_flags(p, "--tau", "--tau1", "--tau2")
     p.add_argument("--k-max", type=int, default=0)
     p.add_argument("--replicates", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
@@ -349,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("study2", help="budget-sweep mean-log-MISE heatmaps")
     _add_model_flags(p, need_nm=False)
-    _add_tau_flags(p)
+    _add_tau_flags(p, "--tau", "--tau1", "--tau2")
     p.add_argument("--budget", type=float, default=5000.0)
     p.add_argument("--density", type=int, default=6)
     p.add_argument("--replicates", type=int, default=50)
@@ -360,14 +360,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="single-subject vs two-threshold RMSPE comparison")
     p.add_argument("--data", required=True)
     _add_split_flags(p)
+    _add_tau_flags(p, "--tau1", "--tau2", "--tau-single")
     p.add_argument("--out", dest="out_file", metavar="FILE", default=None,
                    help="write the table to FILE (default: print it)")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("oracle-check", help="oracle vs adaptive thresholds on simulated data")
     _add_model_flags(p)
-    p.add_argument("--tau1", type=float, default=4.5)
-    p.add_argument("--tau2", type=float, default=6.5)
+    _add_tau_flags(p, "--tau1", "--tau2")
     p.add_argument("--k-max", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_oracle_check)

@@ -18,7 +18,7 @@ from operator import methodcaller
 import numpy as np
 
 from .basis import fourier_matrices
-from .estimators import (empirical_coefficients, leave_one_out_means,
+from .estimators import (TAU1, TAU2, TAU_SINGLE, empirical_coefficients, leave_one_out_means,
                          lepskii_thresholds_f, single_subject_threshold)
 from .simulate import MultiSubjectTable, SubjectStats
 
@@ -270,7 +270,7 @@ def split(table: MultiSubjectTable, spec: SplitSpec):
 
 
 def compare_estimators(table: MultiSubjectTable, spec: SplitSpec,
-                       tau1: float = 4.5, tau2: float = 6.5, tau_single: float = 2.0):
+                       tau1: float = TAU1, tau2: float = TAU2, tau_single: float = TAU_SINGLE):
     """Per-subject RMSPE of the single-subject estimator versus the adaptive
     double-thresholding estimator, scored on the held-out indices.
 

@@ -25,7 +25,6 @@ import numpy as np
 from .risk import RateGradient, RateQuery, rate_f, rate_g, rate_gradient
 
 __all__ = [
-    "check_budget",
     "lattice",
     "DesignPoint",
     "DesignGrid",
@@ -63,16 +62,6 @@ class DesignPoint:
 class DesignGrid:
     points: tuple
 
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-def check_budget(budget: float) -> None:
-    """Reject a budget that is not a finite number in (0, 2**53]."""
-    if not 0 < budget <= MAX_BUDGET:
-        raise ValueError(f"budget must be a finite number in (0, 2**53 = {MAX_BUDGET}], "
-                         f"got {budget!r}")
-
 
 def _candidates(limit: int, density) -> np.ndarray:
     if density is None:
@@ -90,7 +79,9 @@ def lattice(budget: float, density: int | None = None, per_subject: float = 0.0,
     ``density`` log-spaced values from 1 to the axis's largest feasible value.
     The cost is compared exactly, on the floats as given.
     """
-    check_budget(budget)
+    if not 0 < budget <= MAX_BUDGET:
+        raise ValueError(f"budget must be a finite number in (0, 2**53 = {MAX_BUDGET}], "
+                         f"got {budget!r}")
     if not 0 < per_obs < math.inf:
         raise ValueError(f"per_obs must be a finite number above 0, got {per_obs!r}")
     if not 0 <= per_subject < math.inf:

@@ -30,6 +30,13 @@ __all__ = [
     "oracle_thresholds",
 ]
 
+# the Lepskii rules' default comparison constants, each spelled only here: the
+# pooled g rule's tau, the f rule's tau1 and tau2 and the single-subject rule's tau
+TAU_G = 6.5
+TAU1 = 4.5
+TAU2 = 6.5
+TAU_SINGLE = 2.0
+
 
 def empirical_coefficients(table: MultiSubjectTable, width: int) -> CoefficientPanel:
     """Per-subject empirical basis coefficients of a curve table.
@@ -130,7 +137,7 @@ def lepskii_min_k(sq_terms: np.ndarray, tau: float, denom: float, bound: int):
     return np.where(ok.any(axis=-1), first + 1, bound)
 
 
-def lepskii_threshold_g(stats: SubjectStats, tau: float = 6.5):
+def lepskii_threshold_g(stats: SubjectStats, tau: float = TAU_G):
     """Data-driven truncation level k for the pooled estimator of g: an int
     for one row, one k per row for a stack.
 
@@ -162,7 +169,7 @@ def double_threshold_estimate_f(stats: SubjectStats, k1, k2):
     return FunctionSeries(coeffs[:k2]) if coeffs.ndim == 1 else coeffs
 
 
-def lepskii_thresholds_f(stats: SubjectStats, tau1: float = 4.5, tau2: float = 6.5):
+def lepskii_thresholds_f(stats: SubjectStats, tau1: float = TAU1, tau2: float = TAU2):
     """Data-driven thresholds (k1, k1 v k2) for the double-thresholding
     subject estimator: ints for one row, one pair of arrays for a stack.
 
@@ -186,7 +193,7 @@ def lepskii_thresholds_f(stats: SubjectStats, tau1: float = 4.5, tau2: float = 6
     return k1, (max(k1, k2) if stats.own.ndim == 1 else np.maximum(k1, k2))
 
 
-def single_subject_threshold(stats: SubjectStats, tau: float = 2.0):
+def single_subject_threshold(stats: SubjectStats, tau: float = TAU_SINGLE):
     """Threshold k of the single-subject baseline, from its own coefficients
     alone: k in 1..floor(sqrt(n)) with the comparison bound ``tau * l / (n*m)``.
     An int for one row, one k per row for a stack."""
@@ -198,7 +205,7 @@ def single_subject_threshold(stats: SubjectStats, tau: float = 2.0):
     return lepskii_min_k(stats.own[..., :bound] ** 2, tau, stats.n * stats.m, bound)
 
 
-def single_subject_estimate(stats: SubjectStats, tau: float = 2.0):
+def single_subject_estimate(stats: SubjectStats, tau: float = TAU_SINGLE):
     """Project one subject's own coefficient row to its data-driven threshold;
     see :func:`_estimate` for one row against a stack."""
     return _estimate(stats.own, single_subject_threshold(stats, tau))

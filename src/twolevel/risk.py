@@ -62,7 +62,7 @@ class EstimatorSpec:
     fit: Callable[[SubjectStats], np.ndarray]
 
 
-def adaptive_g(tau: float = 6.5) -> EstimatorSpec:
+def adaptive_g(tau: float = est.TAU_G) -> EstimatorSpec:
     def fit(stats):
         return est.threshold_estimate_g(stats, est.lepskii_threshold_g(stats, tau=tau))
     return EstimatorSpec(f"adaptive_g_tau{tau:g}", "g", fit)
@@ -80,7 +80,7 @@ def fixed_g(beta: float) -> EstimatorSpec:
     return EstimatorSpec(f"fixed_g_beta{beta:g}", "g", fit)
 
 
-def adaptive_f(tau1: float = 4.5, tau2: float = 6.5) -> EstimatorSpec:
+def adaptive_f(tau1: float = est.TAU1, tau2: float = est.TAU2) -> EstimatorSpec:
     def fit(stats):
         k1, k2 = est.lepskii_thresholds_f(stats, tau1=tau1, tau2=tau2)
         return est.double_threshold_estimate_f(stats, k1, k2)
@@ -96,7 +96,7 @@ def fixed_f(alpha: float, alpha_tilde: float) -> EstimatorSpec:
     return EstimatorSpec(f"fixed_f_a{alpha:g}_at{alpha_tilde:g}", "f", fit)
 
 
-def single_subject_f(tau: float = 2.0) -> EstimatorSpec:
+def single_subject_f(tau: float = est.TAU_SINGLE) -> EstimatorSpec:
     def fit(stats):
         return est.single_subject_estimate(stats, tau=tau)
     return EstimatorSpec(f"single_f_tau{tau:g}", "f", fit)

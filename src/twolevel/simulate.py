@@ -34,7 +34,6 @@ __all__ = [
     "replicate_normals",
     "sample_population",
     "sample_stats",
-    "study1_grids",
     "simulate_regression",
 ]
 
@@ -260,22 +259,6 @@ def sample_stats(cfg: ModelConfig, normals: np.ndarray):
         donor_mean += g
         donor_mean.setflags(write=False)
     return g, f0, SubjectStats(cfg.n, cfg.m, own, donor_mean)
-
-
-def study1_grids(n: int, m: int, j: int, N: int = 20000, eval_count: int = 1000):
-    """Disjoint train grid for subject j and the shared evaluation grid.
-
-    Train: {2(m i + j)/N : i = 0..n-1}.  Eval: {(20 i + 1)/N : i = 0..eval_count-1}.
-    """
-    if not 1 <= j <= m:
-        raise ValueError(f"subject index must be in 1..{m}, got {j}")
-    if 2 * (m * (n - 1) + j) > N:
-        raise ValueError(f"grid overflow: need 2*(m*(n-1)+j) <= N, got N={N}")
-    if 20 * (eval_count - 1) + 1 > N:
-        raise ValueError("eval grid overflows N")
-    train = (2.0 * (m * np.arange(n) + j)) / N
-    eval_grid = (20.0 * np.arange(eval_count) + 1.0) / N
-    return train, eval_grid
 
 
 def simulate_regression(cfg: ModelConfig, grids, seed: int, noise_sd: float = 1.0):

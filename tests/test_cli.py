@@ -443,15 +443,13 @@ class TestDataCommands:
         assert code == 3
         assert "data error" in err and "n = 151" in err
 
-    @pytest.mark.parametrize("flag,message", [("--tau1", "tau values must be positive"),
-                                              ("--tau2", "tau values must be positive"),
-                                              ("--tau-single", "tau must be positive")])
-    def test_nonpositive_tau_is_config_error(self, table_csv, capsys, flag, message):
+    @pytest.mark.parametrize("flag", ["--tau1", "--tau2", "--tau-single"])
+    def test_nonpositive_tau_is_config_error(self, table_csv, capsys, flag):
         for value in ("-1", "nan"):
             code, out, err = run(capsys, "compare", "--data", str(table_csv), "--test-a", "4",
                                  "--test-b", "-2", "--test-count", "10", flag, value)
             assert code == 2
-            assert err == f"config error: {message}\n"
+            assert err == f"config error: {flag} must be positive, got {float(value)}\n"
             assert out == ""
 
     @pytest.mark.parametrize("flag", ["--tau1", "--tau2", "--tau-single"])
@@ -463,7 +461,7 @@ class TestDataCommands:
         code, out, err = run(capsys, "compare", "--data", str(tmp_path / "absent.csv"),
                              flag, "0")
         assert (code, out) == (2, "")
-        assert err.startswith("config error: tau")
+        assert err == f"config error: {flag} must be positive, got 0.0\n"
 
     def test_non_utf8_data_file_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -664,15 +662,20 @@ class TestDispatch:
         assert err == f"config error: cannot write --out {out}: {reason}\n"
         assert blocker.read_text() == "not a directory\n"
 
-    def test_compare_out_at_a_directory_is_config_error(self, tmp_path, table_csv, capsys):
+    def test_compare_out_at_a_directory_is_config_error(self, tmp_path, table_csv, capsys,
+                                                         monkeypatch):
+        monkeypatch.chdir(tmp_path)
         out = tmp_path / "taken"
         out.mkdir()
-        code, stdout, err = run(capsys, "compare", "--data", str(table_csv),
-                                "--test-a", "4", "--test-b", "-2", "--test-count", "10",
-                                "--out", str(out))
-        assert (code, stdout) == (2, "")
-        assert err == f"config error: cannot write --out {out}: Is a directory\n"
-        assert not (tmp_path / "manifest.txt").exists() and not any(out.iterdir())
+        # an existing directory, and a path ending in a separator (no file name)
+        for given in (str(out), "sub/"):
+            code, stdout, err = run(capsys, "compare", "--data", str(table_csv),
+                                    "--test-a", "4", "--test-b", "-2", "--test-count", "10",
+                                    "--out", given)
+            assert (code, stdout) == (2, "")
+            assert err == f"config error: cannot write --out {given}: Is a directory\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv", "taken"]
+            assert not any(out.iterdir())
 
     def test_entry_point_help(self, capsys):
         parser = build_parser()

@@ -46,7 +46,7 @@ class TestEnumerate:
 
     def test_density_thins_lattice(self):
         full = enumerate_designs(10000, alpha=1.0, alpha_tilde=0.5, density=8)
-        assert len(full) <= 64
+        assert len(full.points) <= 64
         ns = {p.n for p in full.points}
         assert 1 in ns and max(ns) > 1000
 
@@ -91,7 +91,7 @@ class TestGradientMap:
         text = gradient_csv(grid)
         lines = text.strip().splitlines()
         assert lines[0] == GRADIENT_CSV_HEADER
-        assert len(lines) == len(grid) + 1
+        assert len(lines) == len(grid.points) + 1
         first = lines[1].split(",")
         assert len(first) == 10
         assert first[8] in ("n", "m") and first[9] in ("n", "m")

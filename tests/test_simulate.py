@@ -7,8 +7,7 @@ from twolevel.basis import FunctionSeries, Spectrum, series_eval
 from twolevel.dataio import parse_table, table_csv
 from twolevel.simulate import (ModelConfig, MultiSubjectTable, SubjectStats,
                                default_k_max, replicate_normals, sample_population,
-                               sample_stats, simulate_regression, study1_grids,
-                               substream)
+                               sample_stats, simulate_regression, substream)
 
 from reference import build_covariance, fourier_eval, sample_panel, subject_stats
 
@@ -235,31 +234,6 @@ class TestBuildCovariance:
 
     def test_empty_points(self):
         assert build_covariance(Spectrum(0.5), [], terms=3).shape == (0, 0)
-
-
-class TestStudy1Grids:
-    def test_first_train_point(self):
-        train, _ = study1_grids(20, 500, 1, N=20000)
-        assert train[0] == pytest.approx(2 * (500 * 0 + 1) / 20000)
-
-    def test_first_eval_point(self):
-        _, ev = study1_grids(20, 500, 1, N=20000)
-        assert ev[0] == pytest.approx(1 / 20000)
-        assert ev.size == 1000
-
-    def test_disjointness(self):
-        n, m, N = 20, 500, 20000
-        _, ev = study1_grids(n, m, 1, N)
-        seen = set(np.round(ev * N).astype(int))
-        for j in range(1, m + 1):
-            train, _ = study1_grids(n, m, j, N)
-            pts = set(np.round(train * N).astype(int))
-            assert not pts & seen
-            seen |= pts
-
-    def test_overflow_rejected(self):
-        with pytest.raises(ValueError):
-            study1_grids(100, 500, 1, N=20000)
 
 
 class TestSimulateRegression:
