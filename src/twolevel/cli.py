@@ -65,6 +65,17 @@ def _write_artifacts(out_dir: str, config: dict, files: dict) -> list[str]:
     return paths
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """Fail an ``--out`` directory that the writer could not make, with its
+    message, before anything is drawn: the path or its nearest existing
+    ancestor is not a directory.  Creates nothing."""
+    path, made, reason = out_dir.rstrip(os.sep) or out_dir, out_dir, "File exists"
+    while path and not os.path.isdir(path):
+        if os.path.lexists(path):  # the writer's mkdir of ``made`` fails
+            raise ConfigError(f"cannot write --out {made}: {reason}")
+        path, made, reason = os.path.dirname(path), path, "Not a directory"
+
+
 def _spectra(args) -> tuple[Spectrum, Spectrum]:
     return Spectrum(args.alpha), Spectrum(args.alpha_tilde)
 
@@ -231,6 +242,7 @@ def _cmd_compare(args) -> int:
         out_dir, out_name = os.path.split(args.out_file)
         if not out_name:  # "sub/" names a directory, not the table's file
             raise ConfigError(f"cannot write --out {args.out_file}: Is a directory")
+        _check_out_dir(out_dir or os.curdir)
     spec = SplitSpec(args.test_a, args.test_b, args.test_count)
     # rescaled times and aliased coefficients are reported, not fatal
     with warnings.catch_warnings(record=True) as caught:
@@ -263,6 +275,10 @@ def _cmd_oracle_check(args) -> int:
     cfg = ModelConfig(args.n, args.m, prior, deviation, k_max=args.k_max)
     if cfg.m < 2:  # the adaptive k1 and k2 pool the other m - 1 subjects
         raise ConfigError(f"need at least 2 subjects, got m = {cfg.m}")
+    bound = math.isqrt(cfg.n * cfg.m)
+    if cfg.k_max < bound:  # the default k_max never is
+        raise ConfigError(f"--k-max {cfg.k_max} is below the k2 search bound "
+                          f"isqrt(n*m) = {bound}")
     g, _, stats = sample_stats(cfg, replicate_normals(args.seed, 1, cfg.stats_width))
     k1_star, k2_star = oracle_thresholds(FunctionSeries(g[0]), deviation, cfg.n, cfg.m)
     k1, k2 = lepskii_thresholds_f(stats, tau1=args.tau1, tau2=args.tau2)
@@ -382,10 +398,12 @@ def cli_dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return int(err.code or 0)
-    # a directory command's --out: the flag, else TWOLEVEL_OUT_DIR, else out
-    if "out" in vars(args) and args.out is None:
-        args.out = os.environ.get("TWOLEVEL_OUT_DIR") or "out"
     try:
+        if "out" in vars(args):
+            # a directory command's --out: the flag, else TWOLEVEL_OUT_DIR, else out
+            if args.out is None:
+                args.out = os.environ.get("TWOLEVEL_OUT_DIR") or "out"
+            _check_out_dir(args.out)
         return args.func(args)
     except (ConfigError, ValueError) as err:
         if isinstance(err, DataError):

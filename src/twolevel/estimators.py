@@ -90,56 +90,44 @@ def leave_one_out_means(panel: CoefficientPanel) -> np.ndarray:
 
 
 def _before(k, width: int) -> np.ndarray:
-    """Mask of the columns before k in a row of ``width``; k is an int, or
-    one level per row of a stack."""
+    """Mask of the columns before k (one int, or one per row) in rows of ``width``."""
     return np.arange(width) < np.asarray(k)[..., None]
 
 
-def _estimate(coeffs: np.ndarray, k=None):
-    """One row as the FunctionSeries of its first k coefficients; a stack as
-    the (rows, width) array, zero past each row's k.  ``k = None`` keeps
-    every coefficient."""
-    if coeffs.ndim == 1:
-        return FunctionSeries(coeffs[:k])
-    if k is None:
-        return coeffs
+def _estimate(coeffs: np.ndarray, k) -> np.ndarray:
+    """The (rows, width) stack ``coeffs``, zero past each row's k."""
     return np.where(_before(k, coeffs.shape[-1]), coeffs, 0.0)
 
 
-def threshold_estimate_g(stats: SubjectStats, K):
-    """Pooled series estimator keeping the first K coefficients; see
-    :func:`_estimate` for one row against a stack."""
+def threshold_estimate_g(stats: SubjectStats, K) -> np.ndarray:
+    """Pooled series estimator keeping the first K coefficients of each row,
+    as a (rows, width) array."""
     if np.less(K, 0).any() or np.greater(K, stats.width).any():
         raise ValueError(f"K must be in 0..{stats.width}, got {K}")
     return _estimate(stats.pooled, K)
 
 
-def lepskii_min_k(sq_terms: np.ndarray, tau: float, denom: float, bound: int):
-    """Smallest k in 1..bound with sum_{i=k+1..l} sq_terms[..., i] <= tau*l/denom
-    for every l in (k, bound], along the last axis.
+def lepskii_min_k(sq_terms: np.ndarray, tau: float, denom: float, bound: int) -> np.ndarray:
+    """Smallest k in 1..bound with sum_{i=k+1..l} sq_terms[r, i] <= tau*l/denom
+    for every l in (k, bound], one k per row r of a (rows, K) stack.
 
-    ``sq_terms[..., i-1]`` holds the i-th squared coefficient term.  k = bound
-    always qualifies (the condition set is empty there).  A 1-D input gives an
-    int; a (rows, K) input gives one k per row.
-    """
+    ``sq_terms[r, i-1]`` holds the i-th squared coefficient term.  k = bound
+    always qualifies (the condition set is empty there)."""
     if bound < 1:
         raise ValueError("search bound must be >= 1")
-    if bound == 1:
-        return 1 if sq_terms.ndim == 1 else np.ones(sq_terms.shape[0], dtype=int)
-    partial = np.cumsum(sq_terms[..., :bound], axis=-1)
+    if bound == 1:  # no l > k to compare with, and argmax cannot reduce an empty axis
+        return np.ones(sq_terms.shape[0], dtype=int)
+    partial = np.cumsum(sq_terms[:, :bound], axis=-1)
     slack = partial - tau * np.arange(1, bound + 1) / denom
-    # ok[..., k-1] for k < bound: max over l in (k, bound] of slack[..., l-1]
-    # is at most partial[..., k-1], the sum of the first k terms.
-    ok = np.maximum.accumulate(slack[..., :0:-1], axis=-1)[..., ::-1] <= partial[..., :-1]
-    first = ok.argmax(axis=-1)
-    if ok.ndim == 1:
-        return int(first) + 1 if ok[first] else bound
-    return np.where(ok.any(axis=-1), first + 1, bound)
+    # ok[:, k-1] for k < bound: max over l in (k, bound] of slack[:, l-1]
+    # is at most partial[:, k-1], the sum of the first k terms.
+    ok = np.maximum.accumulate(slack[:, :0:-1], axis=-1)[:, ::-1] <= partial[:, :-1]
+    return np.where(ok.any(axis=-1), ok.argmax(axis=-1) + 1, bound)
 
 
-def lepskii_threshold_g(stats: SubjectStats, tau: float = TAU_G):
-    """Data-driven truncation level k for the pooled estimator of g: an int
-    for one row, one k per row for a stack.
+def lepskii_threshold_g(stats: SubjectStats, tau: float = TAU_G) -> np.ndarray:
+    """Data-driven truncation level k for the pooled estimator of g, one k
+    per row.
 
     Searches k in 1..floor(sqrt(n*m)) for the smallest level whose estimator is
     within ``tau * l / (n*m)`` (squared L2, via Parseval) of every finer one.
@@ -149,13 +137,12 @@ def lepskii_threshold_g(stats: SubjectStats, tau: float = TAU_G):
     bound = math.isqrt(stats.n * stats.m)
     if bound > stats.width:
         raise ValueError(f"panel too narrow for search bound {bound}")
-    return lepskii_min_k(stats.pooled[..., :bound] ** 2, tau, stats.n * stats.m, bound)
+    return lepskii_min_k(stats.pooled[:, :bound] ** 2, tau, stats.n * stats.m, bound)
 
 
-def double_threshold_estimate_f(stats: SubjectStats, k1, k2):
+def double_threshold_estimate_f(stats: SubjectStats, k1, k2) -> np.ndarray:
     """Subject estimator using own coefficients up to k1, leave-one-out pooled
-    coefficients on (k1, k2], zero beyond: the FunctionSeries of length k2
-    for one row, a (rows, width) array for a stack."""
+    coefficients on (k1, k2], zero beyond, as a (rows, width) array."""
     if np.greater(k1, k2).any():
         raise ValueError(f"need k1 <= k2, got ({k1}, {k2})")
     if np.greater(k2, stats.width).any():
@@ -165,13 +152,12 @@ def double_threshold_estimate_f(stats: SubjectStats, k1, k2):
         if stats.donor_mean is None:
             raise ValueError("leave-one-out pooling needs at least 2 subjects")
         past_k1 = np.where(_before(k2, stats.width), stats.donor_mean, 0.0)
-    coeffs = np.where(_before(k1, stats.width), stats.own, past_k1)
-    return FunctionSeries(coeffs[:k2]) if coeffs.ndim == 1 else coeffs
+    return np.where(_before(k1, stats.width), stats.own, past_k1)
 
 
 def lepskii_thresholds_f(stats: SubjectStats, tau1: float = TAU1, tau2: float = TAU2):
     """Data-driven thresholds (k1, k1 v k2) for the double-thresholding
-    subject estimator: ints for one row, one pair of arrays for a stack.
+    subject estimator, one pair per row.
 
     k2 runs the pooled rule (leave-one-out, bound ``tau2 * l / (n*m)`` over
     l <= sqrt(n*m)); k1 runs the own-vs-pooled rule (bound ``tau1 * l / n``
@@ -187,50 +173,48 @@ def lepskii_thresholds_f(stats: SubjectStats, tau1: float = TAU1, tau2: float = 
     if bound2 > stats.width:
         raise ValueError(f"panel too narrow for search bound {bound2}")
     bound1 = math.isqrt(n)
-    k2 = lepskii_min_k(stats.donor_mean[..., :bound2] ** 2, tau2, n * m, bound2)
-    k1 = lepskii_min_k((stats.own[..., :bound1] - stats.donor_mean[..., :bound1]) ** 2,
+    k2 = lepskii_min_k(stats.donor_mean[:, :bound2] ** 2, tau2, n * m, bound2)
+    k1 = lepskii_min_k((stats.own[:, :bound1] - stats.donor_mean[:, :bound1]) ** 2,
                        tau1, n, bound1)
-    return k1, (max(k1, k2) if stats.own.ndim == 1 else np.maximum(k1, k2))
+    return k1, np.maximum(k1, k2)
 
 
-def single_subject_threshold(stats: SubjectStats, tau: float = TAU_SINGLE):
+def single_subject_threshold(stats: SubjectStats, tau: float = TAU_SINGLE) -> np.ndarray:
     """Threshold k of the single-subject baseline, from its own coefficients
-    alone: k in 1..floor(sqrt(n)) with the comparison bound ``tau * l / (n*m)``.
-    An int for one row, one k per row for a stack."""
+    alone: k in 1..floor(sqrt(n)) with the comparison bound ``tau * l / (n*m)``,
+    one k per row."""
     if not tau > 0:
         raise ValueError("tau must be positive")
     bound = math.isqrt(stats.n)
     if bound > stats.width:
         raise ValueError(f"row too short for search bound {bound}")
-    return lepskii_min_k(stats.own[..., :bound] ** 2, tau, stats.n * stats.m, bound)
+    return lepskii_min_k(stats.own[:, :bound] ** 2, tau, stats.n * stats.m, bound)
 
 
-def single_subject_estimate(stats: SubjectStats, tau: float = TAU_SINGLE):
-    """Project one subject's own coefficient row to its data-driven threshold;
-    see :func:`_estimate` for one row against a stack."""
+def single_subject_estimate(stats: SubjectStats, tau: float = TAU_SINGLE) -> np.ndarray:
+    """Project each row's own coefficients to its data-driven threshold, as a
+    (rows, width) array."""
     return _estimate(stats.own, single_subject_threshold(stats, tau))
 
 
-def posterior_mean_g(stats: SubjectStats, prior: Spectrum, deviation: Spectrum):
+def posterior_mean_g(stats: SubjectStats, prior: Spectrum, deviation: Spectrum) -> np.ndarray:
     """Conjugate posterior mean for g: shrink the all-subject pooled mean by
-    ``1 / (zeta_k^{-1} m^{-1} (zeta~_k + 1/n) + 1)``.  A FunctionSeries for
-    one row, a (rows, width) array for a stack.  ``prior`` and ``deviation``
-    are the assumed spectra of g and of the deviations, which may differ from
-    the truth; the noise variance is 1."""
+    ``1 / (zeta_k^{-1} m^{-1} (zeta~_k + 1/n) + 1)``, as a (rows, width)
+    array.  ``prior`` and ``deviation`` are the assumed spectra of g and of
+    the deviations, which may differ from the truth; the noise variance is 1."""
     lam = prior.eigenvalues(stats.width)
     lamt = deviation.eigenvalues(stats.width)
     shrink = 1.0 / ((lamt + 1.0 / stats.n) / (stats.m * lam) + 1.0)
-    return _estimate(shrink * stats.pooled)
+    return shrink * stats.pooled
 
 
-def posterior_mean_f(stats: SubjectStats, prior: Spectrum, deviation: Spectrum):
+def posterior_mean_f(stats: SubjectStats, prior: Spectrum, deviation: Spectrum) -> np.ndarray:
     """Conjugate posterior mean for one subject's function.
 
     Combines the subject's own coefficients with the leave-one-out pooled
     mean of the m - 1 donor subjects; with m = 1 it degrades to conjugate
-    shrinkage against the subject's marginal prior variance.  A
-    FunctionSeries for one row, a (rows, width) array for a stack.  The
-    assumed spectra are as in :func:`posterior_mean_g`.
+    shrinkage against the subject's marginal prior variance.  A (rows, width)
+    array; the assumed spectra are as in :func:`posterior_mean_g`.
     """
     n = stats.n
     width = stats.width
@@ -242,7 +226,7 @@ def posterior_mean_f(stats: SubjectStats, prior: Spectrum, deviation: Spectrum):
     c = 1.0 / lam + 1.0 / lamt + donors / (lamt + 1.0 / n)
     a = (1.0 / lamt) * donors / (lamt + 1.0 / n) / c
     b = (1.0 / lam + donors / (lamt + 1.0 / n)) / c
-    return _estimate((own * n + ybar * a) / (n + b / lamt))
+    return (own * n + ybar * a) / (n + b / lamt)
 
 
 # terms summed per chunk of oracle_thresholds' top-down scan

@@ -52,9 +52,7 @@ class EstimatorSpec:
 
     ``fit`` receives the (replicates, k_max) stack of subject 0's statistics
     and returns the (replicates, k_max) array of fitted coefficients, one
-    row per replicate.  Given one row instead, the estimators of
-    :mod:`twolevel.estimators` return a FunctionSeries, so a fit also
-    serves a single dataset.
+    row per replicate.
     """
 
     label: str

@@ -107,13 +107,10 @@ class CoefficientPanel:
 
 @dataclass(frozen=True)
 class SubjectStats:
-    """What every estimator reads of one subject in an m-subject study: its
-    own coefficient row and the mean row of the other m - 1 subjects.
-
-    ``own`` may also be a (rows, K) stack of subjects, with ``donor_mean`` of
-    the same shape; ``width`` is K either way.  ``donor_mean`` is None
-    exactly when m = 1.
-    """
+    """What every estimator reads: the (rows, K) stack ``own`` of subjects'
+    coefficient rows, one subject per m-subject study, and ``donor_mean`` of
+    the same shape, each row the mean row of the study's other m - 1 subjects
+    (None exactly when m = 1)."""
 
     n: int
     m: int
@@ -126,8 +123,8 @@ class SubjectStats:
         if (self.donor_mean is None) != (self.m == 1):
             raise ValueError("donor_mean must be given exactly when m >= 2")
         shape = np.shape(self.own)
-        if len(shape) not in (1, 2):
-            raise ValueError(f"own must be one row or a stack of rows, got shape {shape}")
+        if len(shape) != 2:
+            raise ValueError(f"own must be a (rows, width) stack, got shape {shape}")
         for name in ("own", "donor_mean") if self.m > 1 else ("own",):
             row = getattr(self, name)
             # a read-only float array is kept as given; anything else is copied,
@@ -148,7 +145,7 @@ class SubjectStats:
 
     @cached_property
     def pooled(self) -> np.ndarray:
-        """Mean row of all m subjects (one mean row per row of a stack)."""
+        """Mean row of all m subjects, one per row of the stack."""
         if self.donor_mean is None:
             return self.own
         pooled = (self.own + (self.m - 1) * self.donor_mean) / self.m

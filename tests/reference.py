@@ -104,12 +104,14 @@ def pooled_coefficients(panel: CoefficientPanel, exclude_subject: int | None = N
 
 def subject_stats(panel: CoefficientPanel, subject: int) -> SubjectStats:
     """The statistics the estimators read of one subject (0-based row) of a
-    panel: its row and the leave-one-out mean of the others."""
+    panel, as a one-row stack: its row and the leave-one-out mean of the
+    others."""
     if not 0 <= subject < panel.m:
         raise IndexError(f"subject index out of range: {subject}")
     donor_mean = (pooled_coefficients(panel, exclude_subject=subject)
                   if panel.m > 1 else None)
-    return SubjectStats(panel.n, panel.m, panel.coeffs[subject], donor_mean)
+    return SubjectStats(panel.n, panel.m, panel.coeffs[subject][None],
+                        None if donor_mean is None else donor_mean[None])
 
 
 def build_covariance(spec: Spectrum, points, terms: int) -> np.ndarray:
@@ -130,7 +132,7 @@ def build_covariance(spec: Spectrum, points, terms: int) -> np.ndarray:
 
 def sample_stats_row(g: FunctionSeries, cfg, rng):
     """One replicate's draw of subject 0's statistics given g: e0, then Z,
-    then Z' (m > 1 only).  Returns (e0, one-row SubjectStats)."""
+    then Z' (m > 1 only).  Returns (e0, one-row stack SubjectStats)."""
     base = g.padded(cfg.k_max)
     lamt = cfg.deviation_spectrum.eigenvalues(cfg.k_max)
     deviation0 = np.sqrt(lamt) * rng.standard_normal(cfg.k_max)
@@ -138,14 +140,14 @@ def sample_stats_row(g: FunctionSeries, cfg, rng):
     donor_mean = None
     if cfg.m > 1:
         donor_sd = np.sqrt((lamt + 1.0 / cfg.n) / (cfg.m - 1))
-        donor_mean = base + donor_sd * rng.standard_normal(cfg.k_max)
-    return deviation0, SubjectStats(cfg.n, cfg.m, own, donor_mean)
+        donor_mean = (base + donor_sd * rng.standard_normal(cfg.k_max))[None]
+    return deviation0, SubjectStats(cfg.n, cfg.m, own[None], donor_mean)
 
 
 def run_monte_carlo_per_replicate(cfg, plan, replicates: int, seed: int):
     """``run_monte_carlo`` one replicate at a time: draw from the replicate's
-    substream, fit each estimator on the one row (a FunctionSeries) and
-    score it with ``parseval_mise``."""
+    substream, fit each estimator on the one-row stack and score its row
+    as a FunctionSeries with ``parseval_mise``."""
     mises = {spec.label: np.full(replicates, np.nan) for spec in plan}
     failures = {spec.label: 0 for spec in plan}
     first_failure = {}
@@ -162,7 +164,7 @@ def run_monte_carlo_per_replicate(cfg, plan, replicates: int, seed: int):
                 failures[spec.label] += 1
                 first_failure.setdefault(spec.label, f"{type(err).__name__}: {err}")
                 continue
-            mises[spec.label][r] = parseval_mise(fitted, truths[spec.target])
+            mises[spec.label][r] = parseval_mise(FunctionSeries(fitted[0]), truths[spec.target])
     return {spec.label: RiskReport(spec.label, spec.target, mises[spec.label],
                                    failures[spec.label], first_failure.get(spec.label))
             for spec in plan}

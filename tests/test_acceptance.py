@@ -51,11 +51,11 @@ def test_criterion_1_posterior_conditioning_oracle():
                         cov_y = lam[k] * np.ones((m, m)) + (lamt[k] + 1.0 / n) * np.eye(m)
                         sol = np.linalg.solve(cov_y, y)
                         g_mean = lam[k] * np.ones(m) @ sol
-                        max_err = max(max_err, abs(est_g.coeffs[k] - g_mean))
+                        max_err = max(max_err, abs(est_g[0, k] - g_mean))
                         for j in range(m):
                             cross = lam[k] * np.ones(m)
                             cross[j] += lamt[k]
-                            max_err = max(max_err, abs(est_f[j].coeffs[k] - cross @ sol))
+                            max_err = max(max_err, abs(est_f[j][0, k] - cross @ sol))
     elapsed = time.time() - start
     ok = max_err <= 1e-8 and elapsed < 5.0
     report(1, ok, f"max |posterior - conditioning oracle| = {max_err:.3g}, {elapsed:.2f}s")
@@ -194,7 +194,7 @@ def test_criterion_7_parseval_quadrature_consistency():
             coeff_norm = float(np.sum(pooled[k:l] ** 2))
             fk = threshold_estimate_g(subject_stats(panel, 0), k)
             fl = threshold_estimate_g(subject_stats(panel, 0), l)
-            diff = psi[:, :l] @ fl.padded(l) - psi[:, :l] @ fk.padded(l)
+            diff = psi[:, :l] @ fl[0, :l] - psi[:, :l] @ fk[0, :l]
             quad = float(np.mean(diff**2))
             if quad > 0:
                 max_rel = max(max_rel, abs(coeff_norm - quad) / quad)

@@ -569,6 +569,21 @@ class TestOracleCheck:
         assert err == f"config error: need at least 2 subjects, got m = {m}\n"
 
 
+    def test_k_max_below_the_k2_search_bound_fails_before_sampling(self, capsys, monkeypatch):
+        # isqrt(100 * 10) = 31 columns are searched for k2
+        code, _, err = run(capsys, "oracle-check", "--n", "100", "--m", "10",
+                           "--alpha", "1.0", "--k-max", "31")
+        assert (code, err) == (0, "")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("replicate_normals called")
+        monkeypatch.setattr("twolevel.cli.replicate_normals", refuse)
+        code, out, err = run(capsys, "oracle-check", "--n", "100", "--m", "10",
+                             "--alpha", "1.0", "--k-max", "5")
+        assert (code, out) == (2, "")
+        assert err == "config error: --k-max 5 is below the k2 search bound isqrt(n*m) = 31\n"
+
+
 class TestHeaderContract:
     """Every CSV opens with the manifest's lines as ``# `` lines, and every SVG
     carries them as comments right after its ``<svg>`` line."""
@@ -649,17 +664,28 @@ class TestDispatch:
         assert out.startswith("subject,rmspe_single,rmspe_double,diff\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["heatmap"]
 
-    @pytest.mark.parametrize("command", ["simulate", "study1"])
-    def test_unwritable_out_dir_is_config_error(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command", ["simulate", "study1", "study2", "compare"])
+    def test_unwritable_out_dir_is_config_error(self, tmp_path, capsys, monkeypatch, command):
+        # found before any replicate is fitted or any table is read
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fit or a read started")
+        monkeypatch.setattr("twolevel.cli.run_monte_carlo", refuse)
+        monkeypatch.setattr("twolevel.cli.load_table", refuse)
         blocker = tmp_path / "file"
         blocker.write_text("not a directory\n")
-        out, reason = ((blocker, "File exists") if command == "simulate"
-                       else (blocker / "sub", "Not a directory"))
-        code, stdout, err = run(capsys, command, "--n", "7", "--m", "2", "--alpha", "1.0",
-                                *(["--replicates", "2"] if command == "study1" else []),
-                                "--out", str(out))
+        # the --out given, and the directory the writer cannot make
+        out, named, reason = {
+            "simulate": (blocker, blocker, "File exists"),
+            "compare": (blocker / "rmspe.csv", blocker, "File exists"),
+        }.get(command, (blocker / "sub", blocker / "sub", "Not a directory"))
+        flags = {"simulate": ("--n", "7", "--m", "2", "--alpha", "1.0"),
+                 "study1": ("--n", "7", "--m", "2", "--alpha", "1.0", "--replicates", "2"),
+                 "study2": ("--budget", "100", "--density", "3", "--alpha", "1.0",
+                            "--replicates", "2"),
+                 "compare": ("--data", str(tmp_path / "table.csv"))}[command]
+        code, stdout, err = run(capsys, command, *flags, "--out", str(out))
         assert (code, stdout) == (2, "")
-        assert err == f"config error: cannot write --out {out}: {reason}\n"
+        assert err == f"config error: cannot write --out {named}: {reason}\n"
         assert blocker.read_text() == "not a directory\n"
 
     def test_compare_out_at_a_directory_is_config_error(self, tmp_path, table_csv, capsys,

@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twolevel import dataio
-from twolevel.basis import Spectrum, fourier_matrix, series_eval
+from twolevel.basis import FunctionSeries, Spectrum, fourier_matrix, series_eval
 from twolevel.dataio import (DataError, DataWarning, MultiSubjectTable, SplitSpec,
                              compare_estimators, comparison_csv, parse_table,
                              split, table_csv)
 from twolevel.estimators import (double_threshold_estimate_f, lepskii_thresholds_f,
-                                 single_subject_estimate)
+                                 single_subject_estimate, single_subject_threshold)
 from twolevel.simulate import CoefficientPanel, ModelConfig, simulate_regression
 
 from reference import rmspe, subject_stats
@@ -370,9 +370,12 @@ def reference_comparison(table, spec, tau1=4.5, tau2=6.5, tau_single=2.0):
     results = []
     for j, sid in enumerate(table.subject_ids):
         stats = subject_stats(panel, j)
-        single = single_subject_estimate(stats, tau=tau_single)
+        # each fit's row cut at its threshold: compare sums only those terms, and a
+        # longer dot product can round differently
+        k = single_subject_threshold(stats, tau=tau_single)[0]
+        single = FunctionSeries(single_subject_estimate(stats, tau=tau_single)[0, :k])
         k1, k2 = lepskii_thresholds_f(stats, tau1=tau1, tau2=tau2)
-        double = double_threshold_estimate_f(stats, k1, k2)
+        double = FunctionSeries(double_threshold_estimate_f(stats, k1, k2)[0, :k2[0]])
         t_test, y_test = test.times[j], test.values[j]
         results.append((sid, rmspe(single, t_test, y_test), rmspe(double, t_test, y_test)))
     return results

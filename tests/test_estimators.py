@@ -45,16 +45,16 @@ def random_panel(rng, n, m, width):
 
 class TestLepskiiCore:
     def test_all_zero_picks_one(self):
-        assert lepskii_min_k(np.zeros(30), 6.5, 100.0, 30) == 1
+        assert lepskii_min_k(np.zeros(30)[None], 6.5, 100.0, 30)[0] == 1
 
     def test_single_spike(self):
         sq = np.zeros(30)
         sq[4] = 100.0  # k = 5 term; any k < 5 fails at l = 5
-        assert lepskii_min_k(sq, 6.5, 100.0, 30) == 5
+        assert lepskii_min_k(sq[None], 6.5, 100.0, 30)[0] == 5
 
     def test_bound_always_feasible(self):
         sq = np.full(10, 1e6)
-        assert lepskii_min_k(sq, 1.0, 1e9, 10) == 10
+        assert lepskii_min_k(sq[None], 1.0, 1e9, 10)[0] == 10
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(0, 50), min_size=1, max_size=40),
@@ -62,7 +62,7 @@ class TestLepskiiCore:
     def test_matches_brute_force(self, sq, tau, denom):
         sq = np.array(sq)
         bound = sq.size
-        assert lepskii_min_k(sq, tau, denom, bound) == \
+        assert lepskii_min_k(sq[None], tau, denom, bound)[0] == \
             brute_force_min_k(sq, tau, denom, bound)
 
     @settings(max_examples=60, deadline=None)
@@ -84,7 +84,7 @@ class TestLepskiiCore:
         # bound (10 terms against 11/1.1 at k = 1, l = 11; 6 against 27/4.5
         # at k = 21, l = 27), where rounding decides
         sq = np.full(copies, value)
-        assert lepskii_min_k(sq, value, denom, copies) == want
+        assert lepskii_min_k(sq[None], value, denom, copies)[0] == want
         assert brute_force_min_k(sq, value, denom, copies) == want
         rows = np.vstack([sq, sq])
         assert lepskii_min_k(rows, value, denom, copies).tolist() == [want, want]
@@ -122,19 +122,19 @@ class TestPooling:
         panel = random_panel(substream(15, 0), n=20, m=6, width=16)
         for j in range(6):
             stats = subject_stats(panel, j)
-            np.testing.assert_array_equal(stats.own, panel.coeffs[j])
-            np.testing.assert_array_equal(stats.donor_mean,
+            np.testing.assert_array_equal(stats.own[0], panel.coeffs[j])
+            np.testing.assert_array_equal(stats.donor_mean[0],
                                           pooled_coefficients(panel, exclude_subject=j))
-            np.testing.assert_allclose(stats.pooled, pooled_coefficients(panel),
+            np.testing.assert_allclose(stats.pooled[0], pooled_coefficients(panel),
                                        rtol=1e-12, atol=1e-15)
         # a stack computes its pooled rows once, each as its own row would
         stack = SubjectStats(20, 6, panel.coeffs, leave_one_out_means(panel))
         assert stack.pooled is stack.pooled and not stack.pooled.flags.writeable
         for j in range(6):
-            np.testing.assert_array_equal(stack.pooled[j], subject_stats(panel, j).pooled)
+            np.testing.assert_array_equal(stack.pooled[j], subject_stats(panel, j).pooled[0])
         single = subject_stats(CoefficientPanel(n=4, m=1, coeffs=[[1.0, 2.0]]), 0)
         assert single.donor_mean is None
-        np.testing.assert_array_equal(single.pooled, [1.0, 2.0])
+        np.testing.assert_array_equal(single.pooled[0], [1.0, 2.0])
         with pytest.raises(IndexError):
             subject_stats(panel, 6)
 
@@ -176,11 +176,11 @@ class TestThresholdEstimators:
     def test_g_keeps_prefix(self):
         panel = CoefficientPanel(n=9, m=2, coeffs=[[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]])
         est = threshold_estimate_g(subject_stats(panel, 0), 2)
-        np.testing.assert_allclose(est.coeffs, [2.0, 3.0])
+        np.testing.assert_allclose(est[0], [2.0, 3.0, 0.0])
 
     def test_g_zero_threshold(self):
         panel = CoefficientPanel(n=9, m=2, coeffs=[[1.0], [3.0]])
-        assert len(threshold_estimate_g(subject_stats(panel, 0), 0)) == 0
+        assert not threshold_estimate_g(subject_stats(panel, 0), 0)[0].any()
 
     def test_double_threshold_structure(self):
         panel = CoefficientPanel(n=9, m=3,
@@ -189,9 +189,9 @@ class TestThresholdEstimators:
                                          [9.0, 10.0, 11.0, 12.0]])
         est = double_threshold_estimate_f(subject_stats(panel, 1), k1=2, k2=3)
         # own coefficients up to k1, pooled-without-self on (k1, k2]
-        np.testing.assert_allclose(est.coeffs, [5.0, 6.0, 7.0])
+        np.testing.assert_allclose(est[0], [5.0, 6.0, 7.0, 0.0])
         est0 = double_threshold_estimate_f(subject_stats(panel, 0), k1=1, k2=4)
-        np.testing.assert_allclose(est0.coeffs, [1.0, 8.0, 9.0, 10.0])
+        np.testing.assert_allclose(est0[0], [1.0, 8.0, 9.0, 10.0])
 
     def test_double_threshold_validates(self):
         panel = CoefficientPanel(n=9, m=2, coeffs=[[1.0, 2.0], [3.0, 4.0]])
@@ -216,11 +216,11 @@ class TestThresholdEstimators:
         assert np.array_equal(double_threshold_estimate_f(stack, int(k1[0]), int(k2[0])),
                               double_threshold_select(stack, int(k1[0]), int(k2[0])))
         for r in range(rows):
-            row = SubjectStats(9, 3, own[r], donor_mean[r])
+            row = SubjectStats(9, 3, own[r][None], donor_mean[r][None])
             fit = double_threshold_estimate_f(row, int(k1[r]), int(k2[r]))
             want = double_threshold_select(row, int(k1[r]), int(k2[r]))
-            assert np.array_equal(fit.coeffs, want[:k2[r]])
-            assert np.array_equal(fit.padded(width), want)
+            assert np.array_equal(fit[0, :k2[r]], want[0, :k2[r]])
+            assert np.array_equal(fit[0], want[0])
 
 
 class TestLepskiiSelectors:
@@ -231,13 +231,13 @@ class TestLepskiiSelectors:
             k = lepskii_threshold_g(subject_stats(panel, 0), tau=6.5)
             pooled_sq = pooled_coefficients(panel) ** 2
             bound = int(math.isqrt(40 * 6))
-            assert k == brute_force_min_k(pooled_sq, 6.5, 40 * 6, bound)
+            assert int(k[0]) == brute_force_min_k(pooled_sq, 6.5, 40 * 6, bound)
 
     def test_f_matches_brute_force(self):
         rng = substream(13, 0)
         for trial in range(10):
             panel = random_panel(rng, n=50, m=5, width=64)
-            got = lepskii_thresholds_f(subject_stats(panel, 2))
+            got = tuple(int(k[0]) for k in lepskii_thresholds_f(subject_stats(panel, 2)))
             pooled = pooled_coefficients(panel, exclude_subject=2)
             k2 = brute_force_min_k(pooled**2, 6.5, 250, int(math.isqrt(250)))
             gaps = (panel.coeffs[2] - pooled) ** 2
@@ -253,21 +253,24 @@ class TestLepskiiSelectors:
         rng = substream(14, 0)
         for trial in range(10):
             row = rng.normal(size=40)
-            k = single_subject_threshold(SubjectStats(100, 7, row, np.zeros(40)))
-            assert k == brute_force_min_k(row**2, 2.0, 700, 10)
+            k = single_subject_threshold(SubjectStats(100, 7, row[None], np.zeros(40)[None]))
+            assert int(k[0]) == brute_force_min_k(row**2, 2.0, 700, 10)
 
     @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
     def test_single_subject_rejects_nonpositive_tau(self, tau):
-        stats = SubjectStats(100, 7, np.ones(40), np.zeros(40))
+        stats = SubjectStats(100, 7, np.ones(40)[None], np.zeros(40)[None])
         with pytest.raises(ValueError, match="tau must be positive"):
             single_subject_threshold(stats, tau)
         with pytest.raises(ValueError, match="tau must be positive"):
             single_subject_estimate(stats, tau)
 
     def test_single_subject_estimate_truncates(self):
-        stats = SubjectStats(81, 1, [5.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], None)
+        stats = SubjectStats(81, 1, np.array([5.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])[None],
+                             None)
         est = single_subject_estimate(stats)
-        np.testing.assert_allclose(est.coeffs, stats.own[: single_subject_threshold(stats)])
+        k = int(single_subject_threshold(stats)[0])
+        np.testing.assert_allclose(est[0, :k], stats.own[0, :k])
+        assert not est[0, k:].any()
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 60), st.sampled_from([2, 3, 257]), st.integers(0, 2),
@@ -282,25 +285,24 @@ class TestLepskiiSelectors:
         stack = SubjectStats(n, m, panel.coeffs, leave_one_out_means(panel))
         rows = [subject_stats(panel, j) for j in range(m)]
         np.testing.assert_array_equal(lepskii_threshold_g(stack, tau),
-                                      [lepskii_threshold_g(r, tau) for r in rows])
+                                      [int(lepskii_threshold_g(r, tau)[0]) for r in rows])
         k1, k2 = lepskii_thresholds_f(stack, tau, 1.5 * tau)
-        want = [lepskii_thresholds_f(r, tau, 1.5 * tau) for r in rows]
-        assert all(type(k) is int for pair in want for k in pair)
+        want = [tuple(int(k[0]) for k in lepskii_thresholds_f(r, tau, 1.5 * tau)) for r in rows]
         np.testing.assert_array_equal(k1, [w[0] for w in want])
         np.testing.assert_array_equal(k2, [w[1] for w in want])
         np.testing.assert_array_equal(single_subject_threshold(stack, tau),
-                                      [single_subject_threshold(r, tau) for r in rows])
-        # a stack's estimates are the rows' series, zero-padded to the width
+                                      [int(single_subject_threshold(r, tau)[0]) for r in rows])
+        # a stack's estimates are the rows' estimates
         k = lepskii_threshold_g(stack, tau)
-        fits = [(threshold_estimate_g(stack, k), [threshold_estimate_g(r, kr)
+        fits = [(threshold_estimate_g(stack, k), [threshold_estimate_g(r, kr)[0]
                                                   for r, kr in zip(rows, k)]),
                 (double_threshold_estimate_f(stack, k1, k2),
-                 [double_threshold_estimate_f(r, *w) for r, w in zip(rows, want)]),
+                 [double_threshold_estimate_f(r, *w)[0] for r, w in zip(rows, want)]),
                 (single_subject_estimate(stack, tau),
-                 [single_subject_estimate(r, tau) for r in rows])]
+                 [single_subject_estimate(r, tau)[0] for r in rows])]
         for got, series in fits:
             assert got.shape == (m, width)
-            np.testing.assert_array_equal(got, [f.padded(width) for f in series])
+            np.testing.assert_array_equal(got, series)
 
 
 def conditioned_posterior_oracle(panel, prior, deviation, k):
@@ -334,9 +336,9 @@ class TestPosteriorMeans:
                  for j in range(m)]
         for k in range(6):
             g_mean, f_means = conditioned_posterior_oracle(panel, prior, deviation, k)
-            assert est_g.coeffs[k] == pytest.approx(g_mean, abs=1e-10)
+            assert est_g[0, k] == pytest.approx(g_mean, abs=1e-10)
             for j in range(m):
-                assert est_f[j].coeffs[k] == pytest.approx(f_means[j], abs=1e-10)
+                assert est_f[j][0, k] == pytest.approx(f_means[j], abs=1e-10)
 
     def test_single_subject_reduces_to_shrinkage(self):
         prior, deviation = Spectrum(0.5), Spectrum(1.0)
@@ -346,14 +348,14 @@ class TestPosteriorMeans:
             lam = prior.eigenvalue(k + 1)
             lamt = deviation.eigenvalue(k + 1)
             shrink = 25 / (25 + 1.0 / (lam + lamt))
-            assert est.coeffs[k] == pytest.approx(shrink * panel.coeffs[0, k])
+            assert est[0, k] == pytest.approx(shrink * panel.coeffs[0, k])
 
     def test_g_shrinks_towards_zero(self):
         panel = CoefficientPanel(n=10, m=3, coeffs=np.ones((3, 5)))
         est = posterior_mean_g(subject_stats(panel, 0), Spectrum(0.5), Spectrum(0.5))
-        assert np.all(est.coeffs > 0)
-        assert np.all(est.coeffs < 1)
-        assert np.all(np.diff(est.coeffs) < 0)  # heavier shrinkage at high k
+        assert np.all(est[0] > 0)
+        assert np.all(est[0] < 1)
+        assert np.all(np.diff(est[0]) < 0)  # heavier shrinkage at high k
 
 
 def brute_force_oracle(g, dev, n, m, search_max=4000):

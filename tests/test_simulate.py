@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -71,8 +72,8 @@ def stats_draws(route, cfg, replicates, seed):
         g = sample_population(cfg, rng)
         deviations, panel = sample_panel(g, cfg, rng)
         stats = subject_stats(panel, 0)
-        rows[r] = np.concatenate([g.coeffs, g.coeffs + deviations[0], stats.own,
-                                  stats.donor_mean, stats.pooled])
+        rows[r] = np.concatenate([g.coeffs, g.coeffs + deviations[0], stats.own[0],
+                                  stats.donor_mean[0], stats.pooled[0]])
     return rows
 
 
@@ -153,6 +154,14 @@ def test_subject_stats_keeps_read_only_stacks_and_copies_writable_ones():
     np.testing.assert_array_equal(copied.own, stats.own)
     np.testing.assert_array_equal(copied.donor_mean, stats.donor_mean)
     assert not copied.own.flags.writeable and not copied.donor_mean.flags.writeable
+
+
+@pytest.mark.parametrize("own", [[1.0, 2.0], np.zeros((2, 3, 4))], ids=["1-D", "3-D"])
+def test_subject_stats_takes_only_a_stack(own):
+    shape = np.shape(own)
+    with pytest.raises(ValueError, match=re.escape(f"own must be a (rows, width) stack, "
+                                                   f"got shape {shape}")):
+        SubjectStats(9, 1, own, None)
 
 
 class TestSampleSubjects:
