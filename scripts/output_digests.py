@@ -1,9 +1,10 @@
 """Print a SHA-256 digest of every artifact of a fixed set of CLI runs.
 
 The runs cover both Monte Carlo studies, the data comparison on the bundled
-fixture and on a simulated 60-subject table, the oracle check, the rate
-printout, a rate heatmap and gradient maps under the product budget and
-under a two-level cost with a price per subject.  Each
+fixture (at the default taus and at three others) and on a simulated
+60-subject table, the oracle check, the rate printout, a rate heatmap and
+gradient maps under the product budget and under a two-level cost with a
+price per subject.  Each
 artifact is hashed with its ``#`` header lines dropped, and each run's stdout
 is hashed as ``<run>/stdout`` with the output directory replaced by ``OUT``.
 The dropped lines are pinned too: each run that writes files gets one
@@ -46,6 +47,8 @@ RUNS = {
     # a two-column rectangle: m in {3, 6} at every n, 8 of the 13 cells with m >= 2
     "study2_b100": "study2 --alpha 1.0 --budget 100 --density 6 --replicates 5 --seed 3",
     "compare_fixture": f"compare --data {FIXTURE}",
+    # each of the three tau flags changes the fixture's output on its own
+    "compare_fixture_taus": f"compare --data {FIXTURE} --tau-single 0.5 --tau1 2 --tau2 12",
     "simulate_n151_m60": "simulate --n 151 --m 60 --alpha 0.2 --seed 2",
     # {OUT} is the temporary output root: this compares the table written above
     "compare_n151_m60": "compare --data {OUT}/simulate_n151_m60/dataset.csv",

@@ -9,8 +9,8 @@ from .simulate import (CoefficientPanel, ModelConfig, SubjectStats,
                        substream)
 from .estimators import (double_threshold_estimate_f,
                          empirical_coefficients, leave_one_out_means,
-                         lepskii_min_k, lepskii_threshold_g,
-                         lepskii_thresholds_f, oracle_thresholds,
+                         lepskii_threshold_g, lepskii_thresholds_f,
+                         oracle_thresholds,
                          posterior_mean_f, posterior_mean_g,
                          single_subject_estimate, threshold_estimate_g)
 from .risk import (RateQuery, RiskReport, rate_f, rate_g, rate_gradient,

@@ -249,8 +249,8 @@ def _cmd_compare(args) -> int:
         warnings.simplefilter("always", DataWarning)
         try:
             table = load_table(args.data)
-            results = compare_estimators(table, spec, tau1=args.tau1, tau2=args.tau2,
-                                         tau_single=args.tau_single)
+            plan = [single_subject_f(args.tau_single), adaptive_f(args.tau1, args.tau2)]
+            results = compare_estimators(table, spec, plan)
         finally:
             for w in caught:
                 print(f"warning: {w.message}", file=sys.stderr)

@@ -18,8 +18,8 @@ from operator import methodcaller
 import numpy as np
 
 from .basis import fourier_matrices
-from .estimators import (TAU1, TAU2, TAU_SINGLE, empirical_coefficients, leave_one_out_means,
-                         lepskii_thresholds_f, single_subject_threshold)
+from .estimators import empirical_coefficients, leave_one_out_means
+from .risk import adaptive_f, single_subject_f
 from .simulate import MultiSubjectTable, SubjectStats
 
 __all__ = [
@@ -270,15 +270,15 @@ def split(table: MultiSubjectTable, spec: SplitSpec):
 
 
 def compare_estimators(table: MultiSubjectTable, spec: SplitSpec,
-                       tau1: float = TAU1, tau2: float = TAU2, tau_single: float = TAU_SINGLE):
-    """Per-subject RMSPE of the single-subject estimator versus the adaptive
-    double-thresholding estimator, scored on the held-out indices.
+                       plan=(single_subject_f(), adaptive_f())):
+    """Per-subject RMSPE of each ``risk.EstimatorSpec`` of ``plan``, by default
+    the single-subject and the adaptive double-thresholding fits, on the
+    held-out indices.  Returns a list of (subject_id, one RMSPE per spec) tuples.
 
-    Every subject's thresholds are selected, and its predictions scored, in
-    one pass over the stack of all subjects.  Warns (:class:`DataWarning`)
-    when the fit width exceeds half the training grid (aliased coefficients).
-
-    Returns a list of (subject_id, rmspe_single, rmspe_double) triples.
+    Each spec is fitted once, on the stack of all subjects.  A subject's
+    prediction is ``psi[:, :s] @ row[:s]`` over its row's support s, since a
+    full-width matvec rounds differently.  Warns (:class:`DataWarning`) when
+    the fit width exceeds half the training grid (aliased coefficients).
     """
     if table.m < 2:
         raise DataError("comparison needs at least 2 subjects")
@@ -296,15 +296,14 @@ def compare_estimators(table: MultiSubjectTable, spec: SplitSpec,
     if panel.aliased:
         warnings.warn(f"fit width {width} exceeds n/2 = {n / 2:g} training points per "
                       f"subject; coefficients are aliased", DataWarning, stacklevel=2)
-    k_single = single_subject_threshold(stats, tau_single)
-    k1, k2 = lepskii_thresholds_f(stats, tau1, tau2)
+    # each support as m Python ints, made once: the row loop runs once per subject
+    fits = [(fitted, np.broadcast_to(support, m).tolist())
+            for fitted, support in (estimator.fit(stats) for estimator in plan)]
     # C-contiguous rows: each row's mean is the pairwise sum of a 1-D mean
-    pred = np.empty((2, m, test.n))
+    pred = np.empty((len(fits), m, test.n))
     for j, psi in enumerate(fourier_matrices(test.times, width)):
-        single = stats.own[j, :k_single[j]]
-        double = np.concatenate([stats.own[j, :k1[j]], stats.donor_mean[j, k1[j]:k2[j]]])
-        pred[0, j] = psi[:, :single.size] @ single
-        pred[1, j] = psi[:, :double.size] @ double
+        for p, (fitted, support) in enumerate(fits):
+            pred[p, j] = psi[:, :support[j]] @ fitted[j, :support[j]]
     rmse = np.sqrt(np.mean((pred - test.values) ** 2, axis=-1)).tolist()
     return list(zip(table.subject_ids, *rmse))
 

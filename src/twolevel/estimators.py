@@ -19,7 +19,6 @@ __all__ = [
     "empirical_coefficients",
     "leave_one_out_means",
     "threshold_estimate_g",
-    "lepskii_min_k",
     "lepskii_threshold_g",
     "double_threshold_estimate_f",
     "lepskii_thresholds_f",
@@ -95,15 +94,15 @@ def _before(k, width: int) -> np.ndarray:
 
 
 def _estimate(coeffs: np.ndarray, k) -> np.ndarray:
-    """The (rows, width) stack ``coeffs``, zero past each row's k."""
+    """The (rows, width) stack ``coeffs``, zero past each row's threshold k."""
+    if np.less(k, 0).any() or np.greater(k, coeffs.shape[-1]).any():
+        raise ValueError(f"threshold must be in 0..{coeffs.shape[-1]}, got {k}")
     return np.where(_before(k, coeffs.shape[-1]), coeffs, 0.0)
 
 
 def threshold_estimate_g(stats: SubjectStats, K) -> np.ndarray:
     """Pooled series estimator keeping the first K coefficients of each row,
     as a (rows, width) array."""
-    if np.less(K, 0).any() or np.greater(K, stats.width).any():
-        raise ValueError(f"K must be in 0..{stats.width}, got {K}")
     return _estimate(stats.pooled, K)
 
 
@@ -113,15 +112,18 @@ def lepskii_min_k(sq_terms: np.ndarray, tau: float, denom: float, bound: int) ->
 
     ``sq_terms[r, i-1]`` holds the i-th squared coefficient term.  k = bound
     always qualifies (the condition set is empty there)."""
+    if not tau > 0:
+        raise ValueError("tau must be positive")
     if bound < 1:
         raise ValueError("search bound must be >= 1")
     if bound == 1:  # no l > k to compare with, and argmax cannot reduce an empty axis
         return np.ones(sq_terms.shape[0], dtype=int)
     partial = np.cumsum(sq_terms[:, :bound], axis=-1)
     slack = partial - tau * np.arange(1, bound + 1) / denom
-    # ok[:, k-1] for k < bound: max over l in (k, bound] of slack[:, l-1]
-    # is at most partial[:, k-1], the sum of the first k terms.
-    ok = np.maximum.accumulate(slack[:, :0:-1], axis=-1)[:, ::-1] <= partial[:, :-1]
+    # ok[:, k-1] for k < bound: max over l in (k, bound] of slack[:, l-1] (a running
+    # max from the right, in place) is at most partial[:, k-1], the first k terms' sum.
+    np.maximum.accumulate(slack[:, :0:-1], axis=-1, out=slack[:, :0:-1])
+    ok = slack[:, 1:] <= partial[:, :-1]
     return np.where(ok.any(axis=-1), ok.argmax(axis=-1) + 1, bound)
 
 
@@ -132,8 +134,6 @@ def lepskii_threshold_g(stats: SubjectStats, tau: float = TAU_G) -> np.ndarray:
     Searches k in 1..floor(sqrt(n*m)) for the smallest level whose estimator is
     within ``tau * l / (n*m)`` (squared L2, via Parseval) of every finer one.
     """
-    if not tau > 0:
-        raise ValueError("tau must be positive")
     bound = math.isqrt(stats.n * stats.m)
     if bound > stats.width:
         raise ValueError(f"panel too narrow for search bound {bound}")
@@ -166,8 +166,6 @@ def lepskii_thresholds_f(stats: SubjectStats, tau1: float = TAU1, tau2: float = 
     """
     if stats.m < 2:
         raise ValueError("need at least 2 subjects; use single_subject_estimate for m = 1")
-    if not (tau1 > 0 and tau2 > 0):
-        raise ValueError("tau values must be positive")
     n, m = stats.n, stats.m
     bound2 = math.isqrt(n * m)
     if bound2 > stats.width:
@@ -183,18 +181,16 @@ def single_subject_threshold(stats: SubjectStats, tau: float = TAU_SINGLE) -> np
     """Threshold k of the single-subject baseline, from its own coefficients
     alone: k in 1..floor(sqrt(n)) with the comparison bound ``tau * l / (n*m)``,
     one k per row."""
-    if not tau > 0:
-        raise ValueError("tau must be positive")
     bound = math.isqrt(stats.n)
     if bound > stats.width:
         raise ValueError(f"row too short for search bound {bound}")
     return lepskii_min_k(stats.own[:, :bound] ** 2, tau, stats.n * stats.m, bound)
 
 
-def single_subject_estimate(stats: SubjectStats, tau: float = TAU_SINGLE) -> np.ndarray:
-    """Project each row's own coefficients to its data-driven threshold, as a
-    (rows, width) array."""
-    return _estimate(stats.own, single_subject_threshold(stats, tau))
+def single_subject_estimate(stats: SubjectStats, k) -> np.ndarray:
+    """Single-subject baseline keeping the first k of each row's own
+    coefficients, as a (rows, width) array."""
+    return _estimate(stats.own, k)
 
 
 def posterior_mean_g(stats: SubjectStats, prior: Spectrum, deviation: Spectrum) -> np.ndarray:

@@ -47,22 +47,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """One entry of a Monte Carlo plan: a label, the target function
-    ("g" or "f", where "f" means subject 0), and a fit.
-
-    ``fit`` receives the (replicates, k_max) stack of subject 0's statistics
-    and returns the (replicates, k_max) array of fitted coefficients, one
-    row per replicate.
+    """One entry of a plan: a label, the target ("g", or "f" for each row's
+    own subject) and a fit, mapping a (rows, width) stack of statistics to
+    ``(fitted, support)``: the fitted coefficients, zero from each row's
+    support (an int, or one per row) on.  ``dataio.compare_estimators``
+    reads the support to predict from a row's first terms alone, since a
+    full-width matvec rounds differently; :func:`run_monte_carlo` does not.
     """
 
     label: str
     target: str
-    fit: Callable[[SubjectStats], np.ndarray]
+    fit: Callable[[SubjectStats], tuple[np.ndarray, np.ndarray | int]]
 
 
 def adaptive_g(tau: float = est.TAU_G) -> EstimatorSpec:
     def fit(stats):
-        return est.threshold_estimate_g(stats, est.lepskii_threshold_g(stats, tau=tau))
+        K = est.lepskii_threshold_g(stats, tau=tau)
+        return est.threshold_estimate_g(stats, K), K
     return EstimatorSpec(f"adaptive_g_tau{tau:g}", "g", fit)
 
 
@@ -74,14 +75,15 @@ def fixed_g_threshold(n: int, m: int, beta: float) -> int:
 def fixed_g(beta: float) -> EstimatorSpec:
     """Pooled estimator with the nonadaptive threshold (n*m)^(1/(1+2*beta))."""
     def fit(stats):
-        return est.threshold_estimate_g(stats, fixed_g_threshold(stats.n, stats.m, beta))
+        K = fixed_g_threshold(stats.n, stats.m, beta)
+        return est.threshold_estimate_g(stats, K), K
     return EstimatorSpec(f"fixed_g_beta{beta:g}", "g", fit)
 
 
 def adaptive_f(tau1: float = est.TAU1, tau2: float = est.TAU2) -> EstimatorSpec:
     def fit(stats):
         k1, k2 = est.lepskii_thresholds_f(stats, tau1=tau1, tau2=tau2)
-        return est.double_threshold_estimate_f(stats, k1, k2)
+        return est.double_threshold_estimate_f(stats, k1, k2), k2
     return EstimatorSpec(f"adaptive_f_tau{tau1:g}_{tau2:g}", "f", fit)
 
 
@@ -90,26 +92,29 @@ def fixed_f(alpha: float, alpha_tilde: float) -> EstimatorSpec:
     def fit(stats):
         k1 = math.ceil(stats.n ** (1.0 / (1.0 + 2.0 * alpha_tilde)))
         k2 = max(k1, math.ceil((stats.n * stats.m) ** (1.0 / (1.0 + 2.0 * alpha))))
-        return est.double_threshold_estimate_f(stats, k1, k2)
+        return est.double_threshold_estimate_f(stats, k1, k2), k2
     return EstimatorSpec(f"fixed_f_a{alpha:g}_at{alpha_tilde:g}", "f", fit)
 
 
 def single_subject_f(tau: float = est.TAU_SINGLE) -> EstimatorSpec:
     def fit(stats):
-        return est.single_subject_estimate(stats, tau=tau)
+        k = est.single_subject_threshold(stats, tau=tau)
+        return est.single_subject_estimate(stats, k), k
     return EstimatorSpec(f"single_f_tau{tau:g}", "f", fit)
 
 
 def posterior_g(prior, deviation) -> EstimatorSpec:
     """Posterior mean for g under the assumed prior and deviation Spectrums."""
     label = f"posterior_g_b{prior.decay:g}_bt{deviation.decay:g}"
-    return EstimatorSpec(label, "g", lambda stats: est.posterior_mean_g(stats, prior, deviation))
+    return EstimatorSpec(label, "g", lambda stats: (est.posterior_mean_g(stats, prior, deviation),
+                                                    stats.width))
 
 
 def posterior_f(prior, deviation) -> EstimatorSpec:
     """Posterior mean for f under the assumed prior and deviation Spectrums."""
     label = f"posterior_f_b{prior.decay:g}_bt{deviation.decay:g}"
-    return EstimatorSpec(label, "f", lambda stats: est.posterior_mean_f(stats, prior, deviation))
+    return EstimatorSpec(label, "f", lambda stats: (est.posterior_mean_f(stats, prior, deviation),
+                                                    stats.width))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +188,7 @@ def _fit_and_score(spec: EstimatorSpec, stats: SubjectStats, truth: np.ndarray):
     replicates = truth.shape[0]
     mises = np.full(replicates, np.nan)
     try:
-        fitted = spec.fit(stats)
+        fitted, _ = spec.fit(stats)
     except (ValueError, np.linalg.LinAlgError) as err:
         return mises, replicates, f"{type(err).__name__}: {err}"
     finite = np.isfinite(fitted).all(axis=1)

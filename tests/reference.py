@@ -159,7 +159,7 @@ def run_monte_carlo_per_replicate(cfg, plan, replicates: int, seed: int):
         truths = {"g": g_coeffs, "f": g_coeffs + deviation0}
         for spec in plan:
             try:
-                fitted = spec.fit(stats)
+                fitted, _ = spec.fit(stats)
             except (ValueError, np.linalg.LinAlgError) as err:
                 failures[spec.label] += 1
                 first_failure.setdefault(spec.label, f"{type(err).__name__}: {err}")

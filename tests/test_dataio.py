@@ -16,6 +16,7 @@ from twolevel.dataio import (DataError, DataWarning, MultiSubjectTable, SplitSpe
                              split, table_csv)
 from twolevel.estimators import (double_threshold_estimate_f, lepskii_thresholds_f,
                                  single_subject_estimate, single_subject_threshold)
+from twolevel.risk import adaptive_f, posterior_f, single_subject_f
 from twolevel.simulate import CoefficientPanel, ModelConfig, simulate_regression
 
 from reference import rmspe, subject_stats
@@ -372,8 +373,8 @@ def reference_comparison(table, spec, tau1=4.5, tau2=6.5, tau_single=2.0):
         stats = subject_stats(panel, j)
         # each fit's row cut at its threshold: compare sums only those terms, and a
         # longer dot product can round differently
-        k = single_subject_threshold(stats, tau=tau_single)[0]
-        single = FunctionSeries(single_subject_estimate(stats, tau=tau_single)[0, :k])
+        k = single_subject_threshold(stats, tau=tau_single)
+        single = FunctionSeries(single_subject_estimate(stats, k)[0, :k[0]])
         k1, k2 = lepskii_thresholds_f(stats, tau1=tau1, tau2=tau2)
         double = FunctionSeries(double_threshold_estimate_f(stats, k1, k2)[0, :k2[0]])
         t_test, y_test = test.times[j], test.values[j]
@@ -397,7 +398,8 @@ class TestCompare:
 
     def test_result_schema(self):
         table, _ = self.simulated_table()
-        results = compare_estimators(table, SplitSpec(4, -2, 25), tau_single=0.01)
+        results = compare_estimators(table, SplitSpec(4, -2, 25),
+                                     [single_subject_f(0.01), adaptive_f()])
         assert len(results) == table.m
         for sid, r_single, r_double in results:
             assert sid.startswith("s")
@@ -417,9 +419,25 @@ class TestCompare:
         spec = SplitSpec(4, -2, 15)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DataWarning)
-            got = compare_estimators(table, spec, tau_single=0.5)
+            got = compare_estimators(table, spec, [single_subject_f(0.5), adaptive_f()])
             want = reference_comparison(table, spec, tau_single=0.5)
         assert got == want
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_plan_takes_a_posterior_fit(self, seed):
+        # under its true spectra and unit noise the posterior mean pools the
+        # other subjects, so its mean RMSPE is below the single fit's
+        n, m = 151, 30
+        prior, deviation = Spectrum(1.0), Spectrum(0.5)
+        cfg = ModelConfig(n, m, prior, deviation)
+        _, _, table = simulate_regression(cfg, [np.arange(n) / (n - 1)] * m, seed=seed)
+        plan = [single_subject_f(), posterior_f(prior, deviation)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DataWarning)  # 55 terms on 101 points
+            results = compare_estimators(table, SplitSpec(3, -1, 50), plan)
+        assert [len(r) for r in results] == [3] * m
+        single, posterior = np.mean([r[1:] for r in results], axis=0)
+        assert posterior < single
 
     def test_aliased_fit_warns(self):
         table = parse_table(make_table(n=21, m=40))
@@ -443,7 +461,8 @@ class TestCompare:
     def test_double_usually_wins_when_deviations_small(self):
         # subjects nearly share one curve, so pooling across them should help
         table, _ = self.simulated_table(seed=11, noise_sd=0.5)
-        results = compare_estimators(table, SplitSpec(4, -2, 25), tau_single=0.01)
+        results = compare_estimators(table, SplitSpec(4, -2, 25),
+                                     [single_subject_f(0.01), adaptive_f()])
         wins = sum(r_double < r_single for _, r_single, r_double in results)
         assert wins >= table.m // 2
 

@@ -16,6 +16,7 @@ from twolevel.estimators import (double_threshold_estimate_f,
                                  posterior_mean_f, posterior_mean_g,
                                  single_subject_estimate, single_subject_threshold,
                                  threshold_estimate_g)
+from twolevel.risk import single_subject_f
 from twolevel.simulate import (CoefficientPanel, ModelConfig, SubjectStats,
                                sample_population, simulate_regression, substream)
 
@@ -262,13 +263,24 @@ class TestLepskiiSelectors:
         with pytest.raises(ValueError, match="tau must be positive"):
             single_subject_threshold(stats, tau)
         with pytest.raises(ValueError, match="tau must be positive"):
-            single_subject_estimate(stats, tau)
+            single_subject_f(tau).fit(stats)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, float("nan")])
+    def test_pooled_rules_reject_nonpositive_tau(self, tau):
+        # the g rule's tau and each of the f rule's two taus, checked by the
+        # kernel all three selectors call
+        stats = SubjectStats(100, 7, np.ones((2, 40)), np.zeros((2, 40)))
+        for select in (lambda: lepskii_threshold_g(stats, tau),
+                       lambda: lepskii_thresholds_f(stats, tau, 6.5),
+                       lambda: lepskii_thresholds_f(stats, 4.5, tau)):
+            with pytest.raises(ValueError, match="tau must be positive"):
+                select()
 
     def test_single_subject_estimate_truncates(self):
         stats = SubjectStats(81, 1, np.array([5.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])[None],
                              None)
-        est = single_subject_estimate(stats)
         k = int(single_subject_threshold(stats)[0])
+        est = single_subject_estimate(stats, k)
         np.testing.assert_allclose(est[0, :k], stats.own[0, :k])
         assert not est[0, k:].any()
 
@@ -298,8 +310,8 @@ class TestLepskiiSelectors:
                                                   for r, kr in zip(rows, k)]),
                 (double_threshold_estimate_f(stack, k1, k2),
                  [double_threshold_estimate_f(r, *w)[0] for r, w in zip(rows, want)]),
-                (single_subject_estimate(stack, tau),
-                 [single_subject_estimate(r, tau)[0] for r in rows])]
+                (single_subject_estimate(stack, single_subject_threshold(stack, tau)),
+                 [single_subject_estimate(r, single_subject_threshold(r, tau))[0] for r in rows])]
         for got, series in fits:
             assert got.shape == (m, width)
             np.testing.assert_array_equal(got, series)

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from twolevel import estimators as est
 from twolevel.basis import FunctionSeries, Spectrum
 from twolevel.risk import (EstimatorSpec, RateQuery, adaptive_f, adaptive_g,
                            fixed_f, fixed_g, posterior_f,
@@ -84,6 +87,20 @@ class TestEvalGrids:
         assert grid[1] == pytest.approx(0.00105)
 
 
+# each plan factory with the threshold its fit selects: k, K, k2 (above k1
+# for the fixed pair at (n, m) = (60, 6)), or the width for a posterior
+SUPPORT_CASES = [
+    (adaptive_g(), est.lepskii_threshold_g),
+    (fixed_g(0.5), lambda stats: math.ceil((stats.n * stats.m) ** 0.5)),
+    (adaptive_f(), lambda stats: est.lepskii_thresholds_f(stats)[1]),
+    (fixed_f(0.5, 1.0), lambda stats: max(math.ceil(stats.n ** (1 / 3)),
+                                          math.ceil((stats.n * stats.m) ** 0.5))),
+    (single_subject_f(), est.single_subject_threshold),
+    (posterior_g(Spectrum(1.0), Spectrum(0.5)), lambda stats: stats.width),
+    (posterior_f(Spectrum(1.0), Spectrum(0.5)), lambda stats: stats.width),
+]
+
+
 class TestMonteCarlo:
     def cfg(self, n=60, m=6):
         return ModelConfig(n, m, Spectrum(1.0), Spectrum(0.5), k_max=80)
@@ -112,6 +129,19 @@ class TestMonteCarlo:
             assert rep.failures == 0
             assert np.all(np.isfinite(rep.mises))
             assert np.all(rep.mises >= 0)
+
+    @pytest.mark.parametrize("spec,threshold", SUPPORT_CASES,
+                             ids=[spec.label for spec, _ in SUPPORT_CASES])
+    def test_fit_returns_its_support(self, spec, threshold):
+        # the support is the threshold the spec selected (k, K or k2; the
+        # width for a posterior), and every row is zero from its support on
+        cfg = self.cfg()
+        _, _, stats = sample_stats(cfg, replicate_normals(4, 8, cfg.stats_width))
+        fitted, support = spec.fit(stats)
+        assert fitted.shape == (8, cfg.k_max)
+        np.testing.assert_array_equal(support, threshold(stats))
+        for row, s in zip(fitted, np.broadcast_to(support, 8)):
+            assert (row[s:] == 0.0).all()
 
     @pytest.mark.parametrize("n,m,k_max", [(60, 6, 80), (1, 5000, 71), (7, 2, 6),
                                            (30, 1, 0), (100, 100, 720)])
@@ -165,18 +195,20 @@ class TestMonteCarlo:
         base = adaptive_g()
 
         def holed(stats):
-            fitted = base.fit(stats).copy()
+            fitted, support = base.fit(stats)
+            fitted = fitted.copy()
             fitted[1, 3] = np.nan
             fitted[4, 0] = np.inf
-            return fitted
+            return fitted, support
 
         def all_nan(stats):
-            return np.full_like(base.fit(stats), np.nan)
+            fitted, support = base.fit(stats)
+            return np.full_like(fitted, np.nan), support
 
         plan = [EstimatorSpec("holed", "g", holed), EstimatorSpec("all_nan", "g", all_nan)]
         out = run_monte_carlo(cfg, plan, replicates=6, seed=3)
         g, _, stats = sample_stats(cfg, replicate_normals(3, 6, cfg.stats_width))
-        fitted = base.fit(stats)
+        fitted, _ = base.fit(stats)
         report = out["holed"]
         assert report.failures == 2 and type(report.failures) is int
         assert report.first_failure == "ValueError: coeffs must be finite"
