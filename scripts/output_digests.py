@@ -2,9 +2,9 @@
 
 The runs cover both Monte Carlo studies, the data comparison on the bundled
 fixture (at the default taus and at three others) and on a simulated
-60-subject table, the oracle check, the rate printout, a rate heatmap and
-gradient maps under the product budget and under a two-level cost with a
-price per subject.  Each
+60-subject table, the oracle check, the rate printout, and the gradient maps
+with their rate heatmaps under the product budget and under a two-level cost
+with a price per subject.  Each
 artifact is hashed with its ``#`` header lines dropped, and each run's stdout
 is hashed as ``<run>/stdout`` with the output directory replaced by ``OUT``.
 The dropped lines are pinned too: each run that writes files gets one
@@ -57,7 +57,6 @@ RUNS = {
     # its adaptive k1, k2 change when oracle-check's sampler changes
     "oracle_n50_m20": "oracle-check --n 50 --m 20 --alpha 1.0 --seed 1",
     "rates_n100_m10": "rates --n 100 --m 10 --alpha 0.5",
-    "heatmap_b5000": "heatmap --alpha 0.5 --alpha-tilde 1.0 --target f --budget 5000",
     "gradient_product": "gradient-map --alpha 1.0 --target f --budget 5000",
     "gradient_two_level": ("gradient-map --alpha 0.5 --alpha-tilde 1.5 --target g "
                            "--budget 2000 --cost-subject 10 --density 10"),

@@ -108,31 +108,16 @@ def _cmd_gradient_map(args) -> int:
                   cost_subject=args.cost_subject, cost_obs=args.cost_obs,
                   alpha=args.alpha, alpha_tilde=args.alpha_tilde, density=args.density)
     svg_text, csv_text = emit_gradient_map(grid, args.target)
-    svg, csv = _write_artifacts(args.out, config,
-                                {f"gradient_map_{args.target}.svg": svg_text,
-                                 f"gradient_map_{args.target}.csv": csv_text})
-    print(f"wrote {svg} and {csv}")
-    return 0
-
-
-def _cmd_heatmap(args) -> int:
-    # rate surfaces are drawn on the full rectangle over the lattice's n values,
-    # not just the feasible (n * m <= budget) triangle
-    _check_density(args)
-    axis = sorted({n for n, _ in lattice(args.budget, args.density)})
-    surface = []
-    for n in axis:
-        for m in axis:
-            q = RateQuery(n=float(n), m=float(m), alpha=args.alpha,
-                          alpha_tilde=args.alpha_tilde)
-            surface.append((n, m, math.log(rate_g(q) if args.target == "g" else rate_f(q))))
-    config = dict(command="heatmap", target=args.target, budget=args.budget,
-                  alpha=args.alpha, alpha_tilde=args.alpha_tilde, density=args.density)
-    svg_text, csv_text = emit_heatmap(surface, label=f"log_rate_{args.target}")
-    svg, csv = _write_artifacts(args.out, config,
-                                {f"heatmap_rate_{args.target}.svg": svg_text,
-                                 f"heatmap_rate_{args.target}.csv": csv_text})
-    print(f"wrote {svg} and {csv}")
+    # the rate surface over the same feasible designs, as the quiver map
+    surface = [(p.n, p.m, math.log(p.rate_g if args.target == "g" else p.rate_f))
+               for p in grid.points]
+    heat_svg, heat_csv = emit_heatmap(surface, label=f"log_rate_{args.target}")
+    *paths, last = _write_artifacts(args.out, config,
+                                    {f"gradient_map_{args.target}.svg": svg_text,
+                                     f"gradient_map_{args.target}.csv": csv_text,
+                                     f"heatmap_rate_{args.target}.svg": heat_svg,
+                                     f"heatmap_rate_{args.target}.csv": heat_csv})
+    print(f"wrote {', '.join(paths)} and {last}")
     return 0
 
 
@@ -199,8 +184,8 @@ def _cmd_study1(args) -> int:
 def _cmd_study2(args) -> int:
     _check_taus(args, "--tau", "--tau1", "--tau2")
     _check_density(args)
-    # emit_heatmap draws only a rectangle, so only its cells are fitted: each n
-    # that has a design with at least 2 subjects, by the m values all of them share
+    # perfbench's study2 reference cells and the output digests pin a rectangle:
+    # each n that has a design with at least 2 subjects, by the m values all share
     by_n = {}
     for n, m in lattice(args.budget, args.density):
         if m >= 2:
@@ -310,8 +295,15 @@ def _add_split_flags(p):
     p.add_argument("--test-count", type=int, default=50)
 
 
+def _out_path(text: str) -> str:
+    """An ``--out`` value; an empty one fails at parse, before anything is read."""
+    if not text:
+        raise argparse.ArgumentTypeError("must name a path, got an empty one")
+    return text
+
+
 def _add_out_dir_flag(p):
-    p.add_argument("--out", default=None,
+    p.add_argument("--out", type=_out_path, default=None,
                    help="output directory (default: $TWOLEVEL_OUT_DIR, else out)")
 
 
@@ -326,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.set_defaults(func=_cmd_rates)
 
-    p = sub.add_parser("gradient-map", help="emit a negative-gradient quiver map")
+    p = sub.add_parser("gradient-map", help="emit a quiver map and a rate heatmap")
     _add_model_flags(p, need_nm=False)
     p.add_argument("--target", choices=("g", "f"), default="g")
     p.add_argument("--budget", type=float, default=5000.0)
@@ -337,14 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=int, default=12)
     _add_out_dir_flag(p)
     p.set_defaults(func=_cmd_gradient_map)
-
-    p = sub.add_parser("heatmap", help="emit a rate-surface heatmap")
-    _add_model_flags(p, need_nm=False)
-    p.add_argument("--target", choices=("g", "f"), default="g")
-    p.add_argument("--budget", type=float, default=5000.0)
-    p.add_argument("--density", type=int, default=12)
-    _add_out_dir_flag(p)
-    p.set_defaults(func=_cmd_heatmap)
 
     p = sub.add_parser("simulate", help="generate a regression dataset CSV")
     _add_model_flags(p)
@@ -377,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     _add_split_flags(p)
     _add_tau_flags(p, "--tau1", "--tau2", "--tau-single")
-    p.add_argument("--out", dest="out_file", metavar="FILE", default=None,
+    p.add_argument("--out", dest="out_file", metavar="FILE", type=_out_path, default=None,
                    help="write the table to FILE (default: print it)")
     p.set_defaults(func=_cmd_compare)
 

@@ -39,6 +39,9 @@ MAX_BUDGET = 2**53
 
 GRADIENT_CSV_HEADER = "n,m,rate_g,rate_f,dgdn,dgdm,dfdn,dfdm,steeper_g,steeper_f"
 
+# quantile bins of a heatmap's values, at most one per color of the ramp
+HEATMAP_BINS = 9
+
 # light-to-dark ramp; bin index increases with value
 _BIN_COLORS = [
     "#f7fbff", "#deebf7", "#c6dbef", "#9ecae1", "#6baed6",
@@ -169,51 +172,40 @@ def emit_gradient_map(grid: DesignGrid, target: str) -> tuple[str, str]:
     return "\n".join(lines) + "\n", gradient_csv(grid)
 
 
-def _check_rectangular(cells: dict):
-    ns = sorted({n for n, _ in cells})
-    ms = sorted({m for _, m in cells})
-    missing = [(n, m) for n in ns for m in ms if (n, m) not in cells]
-    if missing:
-        raise ValueError(f"ragged (n, m) coverage; missing cells: {missing}")
-    return ns, ms
-
-
-def emit_heatmap(surface, bins: int = 9, label: str = "value") -> tuple[str, str]:
-    """Color-binned heatmap of a rectangular (n, m, value) surface, as
+def emit_heatmap(surface, label: str = "value") -> tuple[str, str]:
+    """Color-binned heatmap of an (n, m, value) surface, as
     ``(svg_text, csv_text)``.
 
+    One column per distinct n and one row per distinct m; a cell the surface
+    lacks is left blank, and the CSV lists the given cells in (n, m) order.
     Bin edges are value quantiles and are recorded in the CSV companion.
     """
-    cells = {(int(n), int(m)): float(v) for n, m, v in surface}
-    ns, ms = _check_rectangular(cells)
-    values = np.array([cells[(n, m)] for n in ns for m in ms])
+    cells = sorted({(int(n), int(m)): float(v) for n, m, v in surface}.items())
+    column = {n: i for i, n in enumerate(sorted({n for (n, _), _ in cells}))}
+    row = {m: j for j, m in enumerate(sorted({m for (_, m), _ in cells}))}
+    values = np.array([v for _, v in cells])
     if np.ptp(values) == 0:
         edges = np.array([values[0], values[0]])
         nbins = 1
     else:
-        edges = np.unique(np.quantile(values, np.linspace(0.0, 1.0, bins + 1)))
+        edges = np.unique(np.quantile(values, np.linspace(0.0, 1.0, HEATMAP_BINS + 1)))
         nbins = edges.size - 1
-    # the bin of cell (ns[i], ms[j]) at [i][j], all cells in one search
-    cell_bins = np.minimum(np.searchsorted(edges, values, side="right") - 1, nbins - 1)
-    cell_bins = cell_bins.reshape(len(ns), len(ms)).tolist()
+    cell_bins = np.minimum(np.searchsorted(edges, values, side="right") - 1, nbins - 1).tolist()
 
     width = height = 640
     margin = 60
-    cw = (width - 2 * margin) / len(ns)
-    ch = (height - 2 * margin) / len(ms)
+    cw = (width - 2 * margin) / len(column)
+    ch = (height - 2 * margin) / len(row)
     lines = _svg_header(width, height)
     lines.append(f'<text x="{width // 2}" y="20" text-anchor="middle" '
                  f'font-family="monospace" font-size="13">{label} over (n, m)</text>')
-    for i, n in enumerate(ns):
-        for j, m in enumerate(ms):
-            b = cell_bins[i][j]
-            color = _BIN_COLORS[b * (len(_BIN_COLORS) - 1) // max(nbins - 1, 1)]
-            x = margin + i * cw
-            y = height - margin - (j + 1) * ch
-            lines.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw:.2f}" height="{ch:.2f}" '
-                         f'fill="{color}"><title>n={n} m={m} {label}={cells[(n, m)]:.6g}</title></rect>')
+    for ((n, m), v), b in zip(cells, cell_bins):
+        color = _BIN_COLORS[b * (len(_BIN_COLORS) - 1) // max(nbins - 1, 1)]
+        x = margin + column[n] * cw
+        y = height - margin - (row[m] + 1) * ch
+        lines.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{cw:.2f}" height="{ch:.2f}" '
+                     f'fill="{color}"><title>n={n} m={m} {label}={v:.6g}</title></rect>')
     lines.append("</svg>")
     rows = [f"# bin_edges = {','.join(repr(float(e)) for e in edges)}", f"n,m,{label},bin"]
-    rows += [f"{n},{m},{float(cells[(n, m)])!r},{cell_bins[i][j]}"
-             for i, n in enumerate(ns) for j, m in enumerate(ms)]
+    rows += [f"{n},{m},{v!r},{b}" for ((n, m), v), b in zip(cells, cell_bins)]
     return "\n".join(lines) + "\n", "\n".join(rows) + "\n"

@@ -1,3 +1,4 @@
+import math
 import os
 import pathlib
 import subprocess
@@ -62,34 +63,58 @@ class TestArtifacts:
         assert header[0].startswith("# twolevel = ")
         assert any(ln.startswith("# command = gradient-map") for ln in header)
 
-    def test_heatmap_outputs(self, tmp_path, capsys):
+    def test_gradient_map_heatmap_outputs(self, tmp_path, capsys):
         out = tmp_path / "heat"
-        code, _, _ = run(capsys, "heatmap", "--alpha", "0.5", "--budget", "100",
-                         "--density", "4", "--out", str(out))
+        code, stdout, _ = run(capsys, "gradient-map", "--alpha", "0.5", "--budget", "100",
+                              "--density", "4", "--out", str(out))
         assert code == 0
         assert (out / "heatmap_rate_g.svg").exists()
         body = (out / "heatmap_rate_g.csv").read_text()
         assert "# bin_edges = " in body
+        names = ", ".join(str(out / name) for name in ("gradient_map_g.svg", "gradient_map_g.csv",
+                                                       "heatmap_rate_g.svg"))
+        assert stdout == f"wrote {names} and {out / 'heatmap_rate_g.csv'}\n"
 
-    def test_heatmap_has_no_budget_mode(self, tmp_path, capsys):
-        code, _, _ = run(capsys, "heatmap", "--alpha", "0.5", "--budget-mode", "linear_cost",
-                         "--out", str(tmp_path))
-        assert code == 2
+    @pytest.mark.parametrize("target", ["g", "f"])
+    @pytest.mark.parametrize("flags,costs", [((), (0.0, 1.0)),
+                                             (("--cost-subject", "10"), (10.0, 1.0))],
+                             ids=["product", "two-level"])
+    def test_gradient_map_heatmap_is_the_feasible_rate_surface(self, tmp_path, capsys,
+                                                                flags, costs, target):
+        code, _, err = run(capsys, "gradient-map", "--alpha", "0.5", "--budget", "2000",
+                           "--density", "10", "--target", target, *flags,
+                           "--out", str(tmp_path))
+        assert code == 0, err
 
-    def test_heatmap_axis_stays_within_fractional_budget(self, tmp_path, capsys):
-        code, _, _ = run(capsys, "heatmap", "--alpha", "0.5", "--budget", "150.7",
+        def body(name):
+            return [ln.split(",") for ln in (tmp_path / name).read_text().splitlines()
+                    if not ln.startswith("#")][1:]
+        heat, grad = body(f"heatmap_rate_{target}.csv"), body(f"gradient_map_{target}.csv")
+        assert [(int(n), int(m)) for n, m, *_ in heat] == lattice(2000, 10, *costs)
+        rate = 2 if target == "g" else 3
+        assert [row[:2] for row in heat] == [row[:2] for row in grad]
+        assert [row[2] for row in heat] == [repr(math.log(float(row[rate]))) for row in grad]
+
+    def test_heatmap_command_is_gone(self, tmp_path, capsys):
+        code, out, err = run(capsys, "heatmap", "--alpha", "0.5", "--out", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'heatmap'" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_gradient_map_heatmap_stays_within_fractional_budget(self, tmp_path, capsys):
+        code, _, _ = run(capsys, "gradient-map", "--alpha", "0.5", "--budget", "150.7",
                          "--density", "12", "--out", str(tmp_path))
         assert code == 0
         rows = [ln.split(",") for ln in (tmp_path / "heatmap_rate_g.csv").read_text().splitlines()
                 if not ln.startswith("#")][1:]
-        axis = sorted({int(row[0]) for row in rows})
-        assert axis == sorted({int(row[1]) for row in rows})
-        assert axis[0] == 1 and axis[-1] <= 150.7
-        # the axis of gradient-map and study2 at this budget: its integer part
-        assert axis == sorted({n for n, _ in lattice(150, 12)})
+        cells = [(int(row[0]), int(row[1])) for row in rows]
+        assert cells == lattice(150.7, 12)
+        assert all(n * m <= 150.7 for n, m in cells)
+        # the lattice of study2 at this budget: its integer part
+        assert cells == lattice(150, 12)
 
-    def test_heatmap_below_one_unit_is_config_error(self, tmp_path, capsys):
-        code, out, err = run(capsys, "heatmap", "--alpha", "0.5", "--budget", "0.5",
+    def test_gradient_map_below_one_unit_is_config_error(self, tmp_path, capsys):
+        code, out, err = run(capsys, "gradient-map", "--alpha", "0.5", "--budget", "0.5",
                              "--out", str(tmp_path / "o"))
         assert (code, out, err) == (2, "", "config error: budget admits no feasible design\n")
         assert not (tmp_path / "o").exists()
@@ -143,7 +168,7 @@ class TestArtifacts:
         assert shared and all(costly[cell] == product[cell] for cell in shared)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e300", "9.3e18"])
-    @pytest.mark.parametrize("command", ["gradient-map", "heatmap", "study2"])
+    @pytest.mark.parametrize("command", ["gradient-map", "study2"])
     def test_budget_past_exact_integers_is_config_error(self, tmp_path, capsys,
                                                         command, value):
         # int64 lattice values would wrap past 2**63 and floats skip integers past 2**53
@@ -154,14 +179,15 @@ class TestArtifacts:
                        f"(0, 2**53 = 9007199254740992], got {float(value)!r}\n")
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["gradient-map", "heatmap"])
+    @pytest.mark.parametrize("command", ["gradient-map"])
     def test_budget_at_two_to_the_53_runs(self, tmp_path, capsys, command):
         code, _, _ = run(capsys, command, "--alpha", "1.0", "--budget", str(2**53),
                          "--density", "3", "--out", str(tmp_path))
         assert code == 0
-        csv, = tmp_path.glob("*.csv")
-        rows = [ln.split(",") for ln in csv.read_text().splitlines() if not ln.startswith("#")]
-        assert 1 < max(int(row[0]) for row in rows[1:]) <= 2**53
+        for name in ("gradient_map_g.csv", "heatmap_rate_g.csv"):
+            rows = [ln.split(",") for ln in (tmp_path / name).read_text().splitlines()
+                    if not ln.startswith("#")]
+            assert 1 < max(int(row[0]) for row in rows[1:]) <= 2**53
 
     def test_rerun_byte_identical(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -298,7 +324,7 @@ class TestStudies:
         assert not (tmp_path / "s2").exists()
 
     @pytest.mark.parametrize("density", ["0", "-3"])
-    @pytest.mark.parametrize("command", ["heatmap", "gradient-map", "study2"])
+    @pytest.mark.parametrize("command", ["gradient-map", "study2"])
     def test_density_below_one_is_config_error(self, tmp_path, capsys, command, density):
         code, out, err = run(capsys, command, "--alpha", "1.0", "--density", density,
                              "--out", str(tmp_path / "o"))
@@ -590,8 +616,7 @@ class TestHeaderContract:
 
     # command: (files besides manifest.txt, flags)
     RUNS = {
-        "gradient-map": (2, ("--alpha", "1.0", "--budget", "200", "--density", "5")),
-        "heatmap": (2, ("--alpha", "0.5", "--budget", "100", "--density", "4")),
+        "gradient-map": (4, ("--alpha", "1.0", "--budget", "200", "--density", "5")),
         "simulate": (1, ("--n", "10", "--m", "2", "--alpha", "1.0", "--seed", "4")),
         "study1": (7, ("--n", "7", "--m", "2", "--alpha", "1.0", "--replicates", "2")),
         "study2": (4, ("--alpha", "1.0", "--budget", "120", "--density", "4",
@@ -657,12 +682,12 @@ class TestDispatch:
         # a table file named like a command is still just compare's input
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("TWOLEVEL_OUT_DIR", "envout")
-        table_csv.rename(tmp_path / "heatmap")
-        code, out, _ = run(capsys, "compare", "--data", "heatmap", "--test-a", "4",
+        table_csv.rename(tmp_path / "study2")
+        code, out, _ = run(capsys, "compare", "--data", "study2", "--test-a", "4",
                            "--test-b", "-2", "--test-count", "10")
         assert code == 0
         assert out.startswith("subject,rmspe_single,rmspe_double,diff\n")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["heatmap"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["study2"]
 
     @pytest.mark.parametrize("command", ["simulate", "study1", "study2", "compare"])
     def test_unwritable_out_dir_is_config_error(self, tmp_path, capsys, monkeypatch, command):
@@ -687,6 +712,13 @@ class TestDispatch:
         assert (code, stdout) == (2, "")
         assert err == f"config error: cannot write --out {named}: {reason}\n"
         assert blocker.read_text() == "not a directory\n"
+        # an empty --out names nothing to write, and is rejected as it is parsed
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run(capsys, command, *flags, "--out", "")
+        assert (code, stdout) == (2, "")
+        assert err.endswith(f"twolevel {command}: error: argument --out: "
+                            "must name a path, got an empty one\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
     def test_compare_out_at_a_directory_is_config_error(self, tmp_path, table_csv, capsys,
                                                          monkeypatch):

@@ -138,7 +138,13 @@ class TestHeatmap:
         rows = [ln for ln in csv.splitlines() if ln and not ln.startswith("#")][1:]
         assert all(r.endswith(",0") for r in rows)
 
-    def test_ragged_surface_rejected(self):
-        bad = [(1, 1, 0.1), (1, 2, 0.2), (2, 1, 0.3)]
-        with pytest.raises(ValueError, match="missing"):
-            emit_heatmap(bad)
+    def test_ragged_surface_leaves_cells_blank(self):
+        # columns n = 1, 2 by rows m = 1, 2, each 260 px; cell (2, 2) is absent
+        svg, csv = emit_heatmap([(2, 1, 0.3), (1, 2, 0.2), (1, 1, 0.1)])
+        rows = [ln.split(",")[:3] for ln in csv.splitlines() if not ln.startswith("#")][1:]
+        assert rows == [["1", "1", "0.1"], ["1", "2", "0.2"], ["2", "1", "0.3"]]
+        cells = re.findall(r'<rect x="([\d.]+)" y="([\d.]+)" width="260.00" height="260.00" '
+                           r'fill="#[0-9a-f]{6}"><title>n=(\d+) m=(\d+) ', svg)
+        assert cells == [("60.00", "320.00", "1", "1"), ("60.00", "60.00", "1", "2"),
+                         ("320.00", "320.00", "2", "1")]
+        assert svg.count("<title>") == 3
