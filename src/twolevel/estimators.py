@@ -112,6 +112,8 @@ def lepskii_min_k(sq_terms: np.ndarray, tau: float, denom: float, bound: int) ->
 
     ``sq_terms[r, i-1]`` holds the i-th squared coefficient term.  k = bound
     always qualifies (the condition set is empty there)."""
+    if np.ndim(sq_terms) != 2:
+        raise ValueError(f"sq_terms must be a (rows, K) stack, got shape {np.shape(sq_terms)}")
     if not tau > 0:
         raise ValueError("tau must be positive")
     if bound < 1:
@@ -147,11 +149,7 @@ def double_threshold_estimate_f(stats: SubjectStats, k1, k2) -> np.ndarray:
         raise ValueError(f"need k1 <= k2, got ({k1}, {k2})")
     if np.greater(k2, stats.width).any():
         raise ValueError("k2 exceeds panel width")
-    past_k1 = 0.0
-    if np.greater(k2, k1).any():
-        if stats.donor_mean is None:
-            raise ValueError("leave-one-out pooling needs at least 2 subjects")
-        past_k1 = np.where(_before(k2, stats.width), stats.donor_mean, 0.0)
+    past_k1 = np.where(_before(k2, stats.width), stats.donor_mean, 0.0)
     return np.where(_before(k1, stats.width), stats.own, past_k1)
 
 
@@ -164,8 +162,6 @@ def lepskii_thresholds_f(stats: SubjectStats, tau1: float = TAU1, tau2: float = 
     over l <= sqrt(n)), whose norm differences reduce to sums of squared
     (own - pooled) coefficient gaps.
     """
-    if stats.m < 2:
-        raise ValueError("need at least 2 subjects; use single_subject_estimate for m = 1")
     n, m = stats.n, stats.m
     bound2 = math.isqrt(n * m)
     if bound2 > stats.width:
@@ -208,21 +204,17 @@ def posterior_mean_f(stats: SubjectStats, prior: Spectrum, deviation: Spectrum) 
     """Conjugate posterior mean for one subject's function.
 
     Combines the subject's own coefficients with the leave-one-out pooled
-    mean of the m - 1 donor subjects; with m = 1 it degrades to conjugate
-    shrinkage against the subject's marginal prior variance.  A (rows, width)
-    array; the assumed spectra are as in :func:`posterior_mean_g`.
+    mean of the m - 1 donor subjects.  A (rows, width) array; the assumed
+    spectra are as in :func:`posterior_mean_g`.
     """
     n = stats.n
-    width = stats.width
-    lam = prior.eigenvalues(width)
-    lamt = deviation.eigenvalues(width)
+    lam = prior.eigenvalues(stats.width)
+    lamt = deviation.eigenvalues(stats.width)
     donors = stats.m - 1
-    own = stats.own
-    ybar = stats.donor_mean if donors > 0 else np.zeros(width)
     c = 1.0 / lam + 1.0 / lamt + donors / (lamt + 1.0 / n)
     a = (1.0 / lamt) * donors / (lamt + 1.0 / n) / c
     b = (1.0 / lam + donors / (lamt + 1.0 / n)) / c
-    return (own * n + ybar * a) / (n + b / lamt)
+    return (stats.own * n + stats.donor_mean * a) / (n + b / lamt)
 
 
 # terms summed per chunk of oracle_thresholds' top-down scan

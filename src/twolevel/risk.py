@@ -125,8 +125,8 @@ def posterior_f(prior, deviation) -> EstimatorSpec:
 class RiskReport:
     """Per-replicate MISE values for one estimator.
 
-    ``first_failure`` is ``"<Type>: <message>"`` of the first replicate
-    whose fit failed, or None.
+    ``failures`` counts the replicates whose fitted row is not finite, and
+    ``first_failure`` says why they failed, or is None.
     """
 
     label: str
@@ -183,16 +183,13 @@ def _fit_and_score(spec: EstimatorSpec, stats: SubjectStats, truth: np.ndarray):
     errors.  The stacked matmul of each (1, K) error row by its (K, 1)
     transpose sums as ``d @ d`` does on the row alone, so every MISE is bit
     for bit the per-row value (``np.einsum("ij,ij->i")`` sums in another
-    order).  A row with a non-finite coefficient is left NaN.
+    order).  A row with a non-finite coefficient is left NaN and counted as
+    a failure; an exception raised by the fit propagates.
     """
-    replicates = truth.shape[0]
-    mises = np.full(replicates, np.nan)
-    try:
-        fitted, _ = spec.fit(stats)
-    except (ValueError, np.linalg.LinAlgError) as err:
-        return mises, replicates, f"{type(err).__name__}: {err}"
+    mises = np.full(truth.shape[0], np.nan)
+    fitted, _ = spec.fit(stats)
     finite = np.isfinite(fitted).all(axis=1)
-    failures = replicates - int(np.count_nonzero(finite))  # np.int64 otherwise
+    failures = truth.shape[0] - int(np.count_nonzero(finite))  # np.int64 otherwise
     d = fitted[finite] - truth[finite] if failures else fitted - truth
     mises[finite] = (d[:, None, :] @ d[:, :, None]).ravel()
     return mises, failures, "ValueError: coeffs must be finite" if failures else None
@@ -211,12 +208,12 @@ def run_monte_carlo(cfg: ModelConfig, plan, replicates: int, seed: int,
     with the width its widest config needs, and passes the block to each
     config, which reads a prefix of every row: the configs share their random
     numbers.  Without ``normals`` the block is drawn here.  Each estimator is
-    fitted once, on the stack of all replicates.  A fit that raises
-    ``ValueError`` or ``LinAlgError`` fails every replicate, and a replicate
-    whose fit is not finite fails alone; any other exception propagates.
+    fitted once, on the stack of all replicates.  A replicate whose fit is
+    not finite fails alone; an exception raised by a fit propagates.  The
+    config needs m >= 2, checked before anything is drawn.
     """
-    if cfg.m < 1:
-        raise ValueError(f"need at least 1 subject, got m={cfg.m}")
+    if cfg.m < 2:
+        raise ValueError(f"need at least 2 subjects, got m={cfg.m}")
     if normals is None:
         normals = replicate_normals(seed, replicates, cfg.stats_width)
     elif len(normals) != replicates:

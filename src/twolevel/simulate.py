@@ -73,8 +73,8 @@ class ModelConfig:
     @property
     def stats_width(self) -> int:
         """Standard normals one sequence-mode replicate reads
-        (:func:`sample_stats`): g, e0, Z and, when m > 1, Z', k_max each."""
-        return (4 if self.m > 1 else 3) * self.k_max
+        (:func:`sample_stats`): g, e0, Z and Z', k_max each."""
+        return 4 * self.k_max
 
 
 @dataclass(frozen=True)
@@ -108,24 +108,22 @@ class CoefficientPanel:
 @dataclass(frozen=True)
 class SubjectStats:
     """What every estimator reads: the (rows, K) stack ``own`` of subjects'
-    coefficient rows, one subject per m-subject study, and ``donor_mean`` of
-    the same shape, each row the mean row of the study's other m - 1 subjects
-    (None exactly when m = 1)."""
+    coefficient rows, one subject per m-subject study (m >= 2), and
+    ``donor_mean`` of the same shape, each row the mean row of the study's
+    other m - 1 subjects."""
 
     n: int
     m: int
     own: np.ndarray
-    donor_mean: np.ndarray | None
+    donor_mean: np.ndarray
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"need at least 1 subject, got m={self.m}")
-        if (self.donor_mean is None) != (self.m == 1):
-            raise ValueError("donor_mean must be given exactly when m >= 2")
+        if self.m < 2:
+            raise ValueError(f"need at least 2 subjects, got m={self.m}")
         shape = np.shape(self.own)
         if len(shape) != 2:
             raise ValueError(f"own must be a (rows, width) stack, got shape {shape}")
-        for name in ("own", "donor_mean") if self.m > 1 else ("own",):
+        for name in ("own", "donor_mean"):
             row = getattr(self, name)
             # a read-only float array is kept as given; anything else is copied,
             # so that the caller cannot change the stats afterwards
@@ -146,8 +144,6 @@ class SubjectStats:
     @cached_property
     def pooled(self) -> np.ndarray:
         """Mean row of all m subjects, one per row of the stack."""
-        if self.donor_mean is None:
-            return self.own
         pooled = (self.own + (self.m - 1) * self.donor_mean) / self.m
         pooled.setflags(write=False)
         return pooled
@@ -217,12 +213,12 @@ def replicate_normals(seed: int, replicates: int, width: int) -> np.ndarray:
 
 def sample_stats(cfg: ModelConfig, normals: np.ndarray):
     """Subject 0's statistics in ``len(normals)`` independent datasets,
-    without the other m - 1 rows.
+    without the other m - 1 rows (m >= 2, checked before anything is read).
 
     Row r of ``normals`` holds replicate r's standard normals
     (:func:`replicate_normals`).  The config reads the first
     ``cfg.stats_width`` of them as the consecutive k_max-wide slices g, e0, Z
-    and Z' (m > 1 only): g with g_k ~ N(0, lambda_k) and subject 0's
+    and Z': g with g_k ~ N(0, lambda_k) and subject 0's
     deviation e0_k ~ N(0, lambda~_k).  Subject 0 is f0 = g + e0, observed as
     ``own = f0 + n^{-1/2} Z``; the other subjects' mean row is
     ``donor_mean = g + sqrt((lambda~_k + 1/n) / (m - 1)) Z'``.  The rows are
@@ -234,6 +230,8 @@ def sample_stats(cfg: ModelConfig, normals: np.ndarray):
     Returns the (replicates, k_max) stacks g and f0 and the stacked
     :class:`SubjectStats`, whose stacks are read-only.
     """
+    if cfg.m < 2:  # the donor variance divides by m - 1
+        raise ValueError(f"need at least 2 subjects, got m={cfg.m}")
     k = cfg.k_max
     if normals.ndim != 2 or normals.shape[1] < cfg.stats_width:
         raise ValueError(f"need (replicates, >= {cfg.stats_width}) normals, "
@@ -250,11 +248,9 @@ def sample_stats(cfg: ModelConfig, normals: np.ndarray):
     own = z / math.sqrt(cfg.n)
     own += f0
     own.setflags(write=False)
-    donor_mean = None
-    if cfg.m > 1:
-        donor_mean = donor_z * np.sqrt((lamt + 1.0 / cfg.n) / (cfg.m - 1))
-        donor_mean += g
-        donor_mean.setflags(write=False)
+    donor_mean = donor_z * np.sqrt((lamt + 1.0 / cfg.n) / (cfg.m - 1))
+    donor_mean += g
+    donor_mean.setflags(write=False)
     return g, f0, SubjectStats(cfg.n, cfg.m, own, donor_mean)
 
 

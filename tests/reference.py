@@ -108,10 +108,8 @@ def subject_stats(panel: CoefficientPanel, subject: int) -> SubjectStats:
     others."""
     if not 0 <= subject < panel.m:
         raise IndexError(f"subject index out of range: {subject}")
-    donor_mean = (pooled_coefficients(panel, exclude_subject=subject)
-                  if panel.m > 1 else None)
-    return SubjectStats(panel.n, panel.m, panel.coeffs[subject][None],
-                        None if donor_mean is None else donor_mean[None])
+    donor_mean = pooled_coefficients(panel, exclude_subject=subject)
+    return SubjectStats(panel.n, panel.m, panel.coeffs[subject][None], donor_mean[None])
 
 
 def build_covariance(spec: Spectrum, points, terms: int) -> np.ndarray:
@@ -132,25 +130,22 @@ def build_covariance(spec: Spectrum, points, terms: int) -> np.ndarray:
 
 def sample_stats_row(g: FunctionSeries, cfg, rng):
     """One replicate's draw of subject 0's statistics given g: e0, then Z,
-    then Z' (m > 1 only).  Returns (e0, one-row stack SubjectStats)."""
+    then Z'.  Returns (e0, one-row stack SubjectStats)."""
     base = g.padded(cfg.k_max)
     lamt = cfg.deviation_spectrum.eigenvalues(cfg.k_max)
     deviation0 = np.sqrt(lamt) * rng.standard_normal(cfg.k_max)
     own = base + deviation0 + rng.standard_normal(cfg.k_max) / math.sqrt(cfg.n)
-    donor_mean = None
-    if cfg.m > 1:
-        donor_sd = np.sqrt((lamt + 1.0 / cfg.n) / (cfg.m - 1))
-        donor_mean = (base + donor_sd * rng.standard_normal(cfg.k_max))[None]
-    return deviation0, SubjectStats(cfg.n, cfg.m, own[None], donor_mean)
+    donor_sd = np.sqrt((lamt + 1.0 / cfg.n) / (cfg.m - 1))
+    donor_mean = base + donor_sd * rng.standard_normal(cfg.k_max)
+    return deviation0, SubjectStats(cfg.n, cfg.m, own[None], donor_mean[None])
 
 
 def run_monte_carlo_per_replicate(cfg, plan, replicates: int, seed: int):
     """``run_monte_carlo`` one replicate at a time: draw from the replicate's
     substream, fit each estimator on the one-row stack and score its row
-    as a FunctionSeries with ``parseval_mise``."""
+    as a FunctionSeries with ``parseval_mise``.  An exception raised by a
+    fit propagates, as in the engine."""
     mises = {spec.label: np.full(replicates, np.nan) for spec in plan}
-    failures = {spec.label: 0 for spec in plan}
-    first_failure = {}
     for r in range(replicates):
         rng = substream(seed, r)
         g = sample_population(cfg, rng)
@@ -158,15 +153,9 @@ def run_monte_carlo_per_replicate(cfg, plan, replicates: int, seed: int):
         g_coeffs = g.padded(cfg.k_max)
         truths = {"g": g_coeffs, "f": g_coeffs + deviation0}
         for spec in plan:
-            try:
-                fitted, _ = spec.fit(stats)
-            except (ValueError, np.linalg.LinAlgError) as err:
-                failures[spec.label] += 1
-                first_failure.setdefault(spec.label, f"{type(err).__name__}: {err}")
-                continue
+            fitted, _ = spec.fit(stats)
             mises[spec.label][r] = parseval_mise(FunctionSeries(fitted[0]), truths[spec.target])
-    return {spec.label: RiskReport(spec.label, spec.target, mises[spec.label],
-                                   failures[spec.label], first_failure.get(spec.label))
+    return {spec.label: RiskReport(spec.label, spec.target, mises[spec.label], 0)
             for spec in plan}
 
 
@@ -176,12 +165,8 @@ def double_threshold_select(stats: SubjectStats, k1, k2) -> np.ndarray:
     donor-mean coefficients before k2, zero beyond.  ``k1`` and ``k2`` are
     ints or one level per row of a stack."""
     columns = np.arange(stats.width)
-    conditions = [columns < np.expand_dims(k1, -1)]
-    choices = [stats.own]
-    if np.any(np.greater(k2, k1)):
-        conditions.append(columns < np.expand_dims(k2, -1))
-        choices.append(stats.donor_mean)
-    return np.select(conditions, choices)
+    conditions = [columns < np.expand_dims(k1, -1), columns < np.expand_dims(k2, -1)]
+    return np.select(conditions, [stats.own, stats.donor_mean])
 
 
 def oracle_thresholds_full(g_truth: FunctionSeries, deviation_spectrum: Spectrum,

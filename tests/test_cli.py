@@ -398,6 +398,24 @@ class TestStudies:
                        "fixed_g_beta0.2 keeps 720 coefficients\n")
         assert not out.exists()
 
+    def test_study1_narrowest_k_max_fits_every_estimator(self, tmp_path, capsys):
+        # the widest fixed threshold, ceil(1200^(1/1.4)) = 159, is at least every
+        # selector's search bound (isqrt(n m) = 34), so the narrowest admitted
+        # k_max fits every plan entry on every replicate; one less exits 2
+        out = tmp_path / "s1"
+        sizes = ("--n", "30", "--m", "40", "--alpha", "0.5", "--replicates", "5")
+        code, _, err = run(capsys, "study1", *sizes, "--k-max", "159", "--out", str(out))
+        assert code == 0, err
+        rows = [ln.split(",") for ln in (out / "summary.csv").read_text().splitlines()
+                if not ln.startswith("#")]
+        assert rows[0][3] == "failures" and len(rows) == 7
+        assert all(row[3] == "0" for row in rows[1:])
+        code, _, err = run(capsys, "study1", *sizes, "--k-max", "158",
+                           "--out", str(tmp_path / "s2"))
+        assert code == 2
+        assert err == ("config error: k_max = 158 is below the widest fixed threshold: "
+                       "fixed_g_beta0.2 keeps 159 coefficients\n")
+
 
 @pytest.fixture
 def table_csv(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -90,6 +91,13 @@ class TestLepskiiCore:
         rows = np.vstack([sq, sq])
         assert lepskii_min_k(rows, value, denom, copies).tolist() == [want, want]
 
+    @pytest.mark.parametrize("bound", [1, 3])
+    @pytest.mark.parametrize("shape", [(5,), (1, 1, 5)], ids=["1-D", "3-D"])
+    def test_takes_only_a_stack(self, shape, bound):
+        # checked before the bound: at bound 1 a 1-D array would give one k per term
+        with pytest.raises(ValueError, match=re.escape(f"(rows, K) stack, got shape {shape}")):
+            lepskii_min_k(np.ones(shape), 6.5, 100.0, bound)
+
 
 class TestEmpiricalCoefficients:
     def test_regression_normalized(self):
@@ -133,9 +141,8 @@ class TestPooling:
         assert stack.pooled is stack.pooled and not stack.pooled.flags.writeable
         for j in range(6):
             np.testing.assert_array_equal(stack.pooled[j], subject_stats(panel, j).pooled[0])
-        single = subject_stats(CoefficientPanel(n=4, m=1, coeffs=[[1.0, 2.0]]), 0)
-        assert single.donor_mean is None
-        np.testing.assert_array_equal(single.pooled[0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="at least 2 subjects"):
+            subject_stats(CoefficientPanel(n=4, m=1, coeffs=[[1.0, 2.0]]), 0)
         with pytest.raises(IndexError):
             subject_stats(panel, 6)
 
@@ -277,8 +284,9 @@ class TestLepskiiSelectors:
                 select()
 
     def test_single_subject_estimate_truncates(self):
-        stats = SubjectStats(81, 1, np.array([5.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])[None],
-                             None)
+        # the baseline reads its own row alone, so the donor row is zero
+        stats = SubjectStats(81, 2, np.array([5.0, 4.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])[None],
+                             np.zeros((1, 9)))
         k = int(single_subject_threshold(stats)[0])
         est = single_subject_estimate(stats, k)
         np.testing.assert_allclose(est[0, :k], stats.own[0, :k])
@@ -351,16 +359,6 @@ class TestPosteriorMeans:
             assert est_g[0, k] == pytest.approx(g_mean, abs=1e-10)
             for j in range(m):
                 assert est_f[j][0, k] == pytest.approx(f_means[j], abs=1e-10)
-
-    def test_single_subject_reduces_to_shrinkage(self):
-        prior, deviation = Spectrum(0.5), Spectrum(1.0)
-        panel = CoefficientPanel(n=25, m=1, coeffs=[[2.0, -1.0, 0.5]])
-        est = posterior_mean_f(subject_stats(panel, 0), prior, deviation)
-        for k in range(3):
-            lam = prior.eigenvalue(k + 1)
-            lamt = deviation.eigenvalue(k + 1)
-            shrink = 25 / (25 + 1.0 / (lam + lamt))
-            assert est[0, k] == pytest.approx(shrink * panel.coeffs[0, k])
 
     def test_g_shrinks_towards_zero(self):
         panel = CoefficientPanel(n=10, m=3, coeffs=np.ones((3, 5)))

@@ -99,13 +99,15 @@ def test_sample_stats_matches_panel_moments():
 
 
 def test_sample_stats_single_subject():
+    # m = 1 has no donors to pool: both reject it, sample_stats before it
+    # reads the normals (a block of no columns would fail the width check)
     cfg = ModelConfig(9, 1, Spectrum(0.5), Spectrum(0.5), k_max=5)
-    g, f0, stats = sample_stats(cfg, replicate_normals(8, 3, cfg.stats_width))
-    assert g.shape == f0.shape == stats.own.shape == (3, 5)
-    assert stats.donor_mean is None
-    np.testing.assert_array_equal(stats.pooled, stats.own)
-    with pytest.raises(ValueError, match="exactly when"):
-        SubjectStats(9, 2, stats.own, None)
+    assert cfg.stats_width == 20
+    with pytest.raises(ValueError, match="need at least 2 subjects, got m=1"):
+        sample_stats(cfg, np.empty((3, 0)))
+    own = replicate_normals(8, 3, 5)
+    with pytest.raises(ValueError, match="need at least 2 subjects, got m=1"):
+        SubjectStats(9, 1, own, own)
 
 
 def test_replicate_normals_rows_are_substream_prefixes():
@@ -118,24 +120,20 @@ def test_replicate_normals_rows_are_substream_prefixes():
         replicate_normals(4, 0, 50)
 
 
-@pytest.mark.parametrize("m", [1, 2, 9])
+@pytest.mark.parametrize("m", [2, 9])
 @pytest.mark.parametrize("k_max", [1, 6, 40])
 def test_sample_stats_reads_a_prefix_of_a_wider_block(m, k_max):
     # a block drawn for a wider config splits exactly as one of this
-    # config's own width: [g | e0 | Z] at m = 1, [g | e0 | Z | Z'] above
+    # config's own width, [g | e0 | Z | Z']
     cfg = ModelConfig(5, m, Spectrum(0.5), Spectrum(1.0), k_max=k_max)
-    own_width = (3 if m == 1 else 4) * k_max
+    own_width = 4 * k_max
     wide = replicate_normals(11, 4, 4 * 53)
     wide.setflags(write=False)  # only read: configs of one command share it
     got = sample_stats(cfg, wide)
     want = sample_stats(cfg, replicate_normals(11, 4, own_width))
-    for a, b in ((got[0], want[0]), (got[1], want[1]),
-                 (got[2].own, want[2].own), (got[2].pooled, want[2].pooled)):
+    for a, b in ((got[0], want[0]), (got[1], want[1]), (got[2].own, want[2].own),
+                 (got[2].donor_mean, want[2].donor_mean), (got[2].pooled, want[2].pooled)):
         assert a.shape == (4, k_max) and np.array_equal(a, b)
-    if m == 1:
-        assert got[2].donor_mean is None and want[2].donor_mean is None
-    else:
-        assert np.array_equal(got[2].donor_mean, want[2].donor_mean)
     with pytest.raises(ValueError, match=f">= {own_width}"):
         sample_stats(cfg, replicate_normals(11, 4, own_width - 1))
 
@@ -161,7 +159,7 @@ def test_subject_stats_takes_only_a_stack(own):
     shape = np.shape(own)
     with pytest.raises(ValueError, match=re.escape(f"own must be a (rows, width) stack, "
                                                    f"got shape {shape}")):
-        SubjectStats(9, 1, own, None)
+        SubjectStats(9, 2, own, own)
 
 
 class TestSampleSubjects:
