@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import chain, filterfalse, islice
-from operator import methodcaller
 
 import numpy as np
 
@@ -46,26 +44,21 @@ class DataWarning(UserWarning):
 
 
 HEADER = "subject,i,t,y"
-# Characters split into lines at a time: bounds the line strings held at once.
+# Characters split into lines and converted at a time: bounds the line and
+# field strings held at once.
 CHUNK_CHARS = 1 << 18
-# Data lines converted per block: bounds the field strings held at once.
-BLOCK_LINES = 8192
 
 
 def parse_table(text: str) -> MultiSubjectTable:
     """Parse and validate a ``subject,i,t,y`` CSV; see :func:`load_table`.
 
     Valid tables take a block-vectorised route that reads the text
-    ``CHUNK_CHARS`` characters at a time and never holds a list of all its
-    lines; any input it rejects is parsed again line by line, which raises
-    the error of the first bad line or subject.  Warns
-    (:class:`DataWarning`) when it rescales the times.
+    ``CHUNK_CHARS`` characters at a time, converts each chunk's lines as one
+    block and never holds a list of all its lines; any input it rejects is
+    parsed again line by line, which raises the error of the first bad line
+    or subject.  Warns (:class:`DataWarning`) when it rescales the times.
     """
-    rows = _rows(text)
-    parsed = None
-    if next(rows, "").strip() == HEADER:
-        parsed = _parse_blocks(rows)
-    ids, indices, times, values = parsed or _parse_lines(text.splitlines())
+    ids, indices, times, values = _parse_blocks(text) or _parse_lines(text.splitlines())
     lo, hi = float(times.min()), float(times.max())
     rescaled = lo < 0.0 or hi > 1.0
     if rescaled:
@@ -99,24 +92,26 @@ def _chunks(text: str):
         start = stop
 
 
-def _rows(text: str):
-    """Lazy iterator over the lines of ``text`` that are neither blank nor
-    ``#`` comments, split one chunk at a time."""
-    rows = filter(str.strip, chain.from_iterable(map(str.splitlines, _chunks(text))))
-    if "#" in text:
-        rows = filterfalse(methodcaller("startswith", "#"), rows)
-    return rows
-
-
-def _parse_blocks(rows):
+def _parse_blocks(text: str):
     """(subject ids, then indices, times and values as (m, n) arrays in
-    subject order) of an iterable of data lines, or None if any line or
-    subject is invalid.  Reads ``BLOCK_LINES`` lines at a time and keeps
+    subject order) of the table in ``text``, or None if its header or any
+    line or subject is invalid.  Converts the data lines (neither blank nor
+    ``#`` comments) of each chunk of :func:`_chunks` as one block and keeps
     only their converted columns."""
-    rows = iter(rows)
+    comments = "#" in text
+    header = None
     columns = []  # (codes, idx, t, y) of each block
     ids: dict[str, int] = {}
-    while block := list(islice(rows, BLOCK_LINES)):
+    for chunk in _chunks(text):
+        block = list(filter(str.strip, chunk.splitlines()))
+        if comments:
+            block = [line for line in block if not line.startswith("#")]
+        if header is None and block:
+            header = block.pop(0)
+            if header.strip() != HEADER:
+                return None
+        if not block:
+            continue
         size = len(block)
         # Joined by ",\n,", lines of 4 columns each put their fields at 5j..5j+3
         # and the size - 1 separator fields "\n" at 5j+4; no line holds a "\n",
@@ -286,7 +281,7 @@ def compare_estimators(table: MultiSubjectTable, spec: SplitSpec,
     if test.n == 0:
         raise ValueError("test set must be nonempty")
     n, m = train.n, train.m
-    width = max(math.isqrt(n * m), math.isqrt(n), 1)
+    width = max(math.isqrt(n * m), 1)
     try:
         panel = empirical_coefficients(train, width)
         stats = SubjectStats(n, m, panel.coeffs, leave_one_out_means(panel))

@@ -192,7 +192,7 @@ def _fit_and_score(spec: EstimatorSpec, stats: SubjectStats, truth: np.ndarray):
     failures = truth.shape[0] - int(np.count_nonzero(finite))  # np.int64 otherwise
     d = fitted[finite] - truth[finite] if failures else fitted - truth
     mises[finite] = (d[:, None, :] @ d[:, :, None]).ravel()
-    return mises, failures, "ValueError: coeffs must be finite" if failures else None
+    return mises, failures, "non-finite fitted coefficients" if failures else None
 
 
 def run_monte_carlo(cfg: ModelConfig, plan, replicates: int, seed: int,

@@ -25,6 +25,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 # from one line per chunk (a chunk ends at the first "\n" past CHUNK_CHARS - 1
 # characters) to one chunk for the whole text
 CHUNK_SIZES = [1, 5, 64, dataio.CHUNK_CHARS]
+# a chunk is a conversion block: one line per block, a few lines, the default
+BLOCK_SIZES = [1, 64, dataio.CHUNK_CHARS]
 
 
 def load_script(relative_path):
@@ -174,18 +176,18 @@ class TestParse:
                 "t spans [-1e+308, 1e+308], wider than the float range; " \
                 "cannot rescale t to [0, 1]"
 
-    @pytest.mark.parametrize("block_lines", [2, dataio.BLOCK_LINES])
-    def test_first_bad_line_wins(self, monkeypatch, block_lines):
+    @pytest.mark.parametrize("chunk_chars", BLOCK_SIZES)
+    def test_first_bad_line_wins(self, monkeypatch, chunk_chars):
         # one line short of a column and one over: the comma total still fits
-        monkeypatch.setattr(dataio, "BLOCK_LINES", block_lines)
+        monkeypatch.setattr(dataio, "CHUNK_CHARS", chunk_chars)
         lines = make_table(n=4, m=2).splitlines()
         lines[6] = lines[6].replace(",", ";", 1)
         lines[3] = lines[3] + ",extra"
         assert parse_error("\n".join(lines)) == "line 4: expected 4 columns, got 5"
 
-    @pytest.mark.parametrize("block_lines", [1, 3, dataio.BLOCK_LINES])
-    def test_block_route_matches_line_route(self, monkeypatch, block_lines):
-        monkeypatch.setattr(dataio, "BLOCK_LINES", block_lines)
+    @pytest.mark.parametrize("chunk_chars", BLOCK_SIZES)
+    def test_block_route_matches_line_route(self, monkeypatch, chunk_chars):
+        monkeypatch.setattr(dataio, "CHUNK_CHARS", chunk_chars)
         body = make_table(n=6, m=4).splitlines()[1:]
         body = [body[k] for k in np.random.default_rng(3).permutation(len(body))]
         body[2] = " " + body[2].replace(",", " ,", 2) + "\t"
@@ -193,15 +195,15 @@ class TestParse:
             "\n  \n#\n" + "\n".join(body[9:])
         assert_matches_line_route(monkeypatch, text)
 
-    @pytest.mark.parametrize("block_lines", [1, 3, dataio.BLOCK_LINES])
-    def test_repeated_fields_spelled_differently(self, monkeypatch, block_lines):
+    @pytest.mark.parametrize("chunk_chars", BLOCK_SIZES)
+    def test_repeated_fields_spelled_differently(self, monkeypatch, chunk_chars):
         # the block route converts each distinct string of a column once: other
         # spellings of one number, and padded ids, must still agree
-        monkeypatch.setattr(dataio, "BLOCK_LINES", block_lines)
+        monkeypatch.setattr(dataio, "CHUNK_CHARS", chunk_chars)
         rows = ["s1,1,0.25,1.5", "s2,01,0.25,2.5", " s1,2,0.5,3.5", "s2, 2,0.50,4.5",
                 "s3,1,0.25,5.5", "s3,2,5e-1,6.5", "s1 ,3,0.75,7.5", "s2,3,0.75,8.5",
                 "s4,1,0.25,9.5", "s4,2, 0.5,10.5", "s3,3,0.75,11.5", "s4,3,.75,12.5"]
-        got = dataio._parse_blocks(rows)
+        got = dataio._parse_blocks("\n".join(["subject,i,t,y"] + rows))
         want = dataio._parse_lines(["subject,i,t,y"] + rows)
         assert got[0] == want[0] == ("s1", "s2", "s3", "s4")
         for a, b in zip(got[1:], want[1:], strict=True):
@@ -241,7 +243,6 @@ class TestParse:
             "line 22: expected 4 columns, got 3"
 
     def test_parse_holds_no_list_of_every_line(self, monkeypatch):
-        monkeypatch.setattr(dataio, "BLOCK_LINES", 512)
         monkeypatch.setattr(dataio, "CHUNK_CHARS", 16384)
         text = load_script("perfbench/workloads.py").compare_table_text(3, subjects=300)
         tracemalloc.start()
@@ -264,12 +265,11 @@ class TestParse:
             pass
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(2, 5), st.integers(1, 4), st.sampled_from([1, 2, 3, 8192]),
-           st.sampled_from(CHUNK_SIZES),
+    @given(st.integers(2, 5), st.integers(1, 4), st.sampled_from(CHUNK_SIZES),
            st.lists(st.tuples(st.integers(0, 99), st.sampled_from(ROW_EDITS)), max_size=3),
            st.randoms(use_true_random=False))
-    def test_block_route_accepts_only_what_line_route_accepts(self, n, m, block_lines,
-                                                             chunk_chars, edits, rnd):
+    def test_block_route_accepts_only_what_line_route_accepts(self, n, m, chunk_chars,
+                                                             edits, rnd):
         rows = make_table(n=n, m=m, fn=lambda sid, t: t / 7 - sid).splitlines()[1:]
         rnd.shuffle(rows)
         for k, edit in edits:
@@ -279,12 +279,12 @@ class TestParse:
             want = dataio._parse_lines(lines)
         except DataError:
             want = None
-        saved = dataio.BLOCK_LINES, dataio.CHUNK_CHARS
-        dataio.BLOCK_LINES, dataio.CHUNK_CHARS = block_lines, chunk_chars
+        saved = dataio.CHUNK_CHARS
+        dataio.CHUNK_CHARS = chunk_chars
         try:
-            got = dataio._parse_blocks(dataio._rows("\n".join(rows)))
+            got = dataio._parse_blocks("\n".join(lines))
         finally:
-            dataio.BLOCK_LINES, dataio.CHUNK_CHARS = saved
+            dataio.CHUNK_CHARS = saved
         if want is None or got is None:
             assert got is None  # the line route then decides, and raises
         else:

@@ -198,15 +198,15 @@ class TestMonteCarlo:
         fitted, _ = base.fit(stats)
         report = out["holed"]
         assert report.failures == 2 and type(report.failures) is int
-        assert report.first_failure == "ValueError: coeffs must be finite"
+        assert report.first_failure == "non-finite fitted coefficients"
         assert np.isnan(report.mises[[1, 4]]).all()
         for r in (0, 2, 3, 5):
             d = fitted[r] - g[r]
             assert report.mises[r].tobytes() == (d @ d).tobytes()
         assert out["all_nan"].failures == 6
-        assert out["all_nan"].first_failure == "ValueError: coeffs must be finite"
+        assert out["all_nan"].first_failure == "non-finite fitted coefficients"
         assert np.isnan(out["all_nan"].mises).all()
-        with pytest.raises(ValueError, match="first failure: ValueError: coeffs must be finite"):
+        with pytest.raises(ValueError, match="first failure: non-finite fitted coefficients"):
             out["all_nan"].median
 
     def test_programming_error_propagates(self):
