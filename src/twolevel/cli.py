@@ -22,12 +22,12 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .basis import FunctionSeries, Spectrum
+from .basis import Spectrum
 from .dataio import (DataError, DataWarning, SplitSpec, compare_estimators,
                      comparison_csv, load_table, table_csv)
 from .design import emit_gradient_map, emit_heatmap, enumerate_designs, lattice
-from .estimators import (TAU1, TAU2, TAU_G, TAU_SINGLE, lepskii_thresholds_f,
-                         oracle_thresholds)
+from .estimators import (TAU1, TAU2, TAU_G, TAU_SINGLE, double_fit_risk,
+                         lepskii_thresholds_f, oracle_pair)
 from .risk import (RateQuery, adaptive_f, adaptive_g, fixed_g, fixed_g_threshold,
                    rate_f, rate_g, run_monte_carlo, single_subject_f)
 from .simulate import ModelConfig, replicate_normals, sample_stats, simulate_regression
@@ -265,9 +265,11 @@ def _cmd_oracle_check(args) -> int:
         raise ConfigError(f"--k-max {cfg.k_max} is below the k2 search bound "
                           f"isqrt(n*m) = {bound}")
     g, _, stats = sample_stats(cfg, replicate_normals(args.seed, 1, cfg.stats_width))
-    k1_star, k2_star = oracle_thresholds(FunctionSeries(g[0]), deviation, cfg.n, cfg.m)
+    k1_star, k2_star, risk_star = oracle_pair(g, deviation, cfg.n, cfg.m)
     k1, k2 = lepskii_thresholds_f(stats, tau1=args.tau1, tau2=args.tau2)
-    print(f"oracle k1*={k1_star} k2*={k2_star} adaptive k1={k1[0]} k2={k2[0]}")
+    risk = double_fit_risk(g, deviation, cfg.n, cfg.m, k1, k2)
+    print(f"oracle k1*={k1_star[0]} k2*={k2_star[0]} risk={risk_star[0]:.6g} "
+          f"adaptive k1={k1[0]} k2={k2[0]} risk={risk[0]:.6g}")
     return 0
 
 
@@ -302,6 +304,14 @@ def _out_path(text: str) -> str:
     return text
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: digits only, so a negative one fails at parse,
+    naming the flag."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return int(text)
+
+
 def _add_out_dir_flag(p):
     p.add_argument("--out", type=_out_path, default=None,
                    help="output directory (default: $TWOLEVEL_OUT_DIR, else out)")
@@ -334,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--noise-sd", type=float, default=1.0)
     p.add_argument("--k-max", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_out_dir_flag(p)
     p.set_defaults(func=_cmd_simulate)
 
@@ -343,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tau_flags(p, "--tau", "--tau1", "--tau2")
     p.add_argument("--k-max", type=int, default=0)
     p.add_argument("--replicates", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_out_dir_flag(p)
     p.set_defaults(func=_cmd_study1)
 
@@ -353,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, default=5000.0)
     p.add_argument("--density", type=int, default=6)
     p.add_argument("--replicates", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_out_dir_flag(p)
     p.set_defaults(func=_cmd_study2)
 
@@ -369,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     _add_tau_flags(p, "--tau1", "--tau2")
     p.add_argument("--k-max", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_oracle_check)
 
     return parser

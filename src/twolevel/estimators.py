@@ -3,7 +3,8 @@
 Includes empirical basis coefficients, pooled/thresholded series estimators,
 data-driven (Lepskii-style) threshold selection, the double-thresholding
 subject estimator, a single-subject baseline, conjugate posterior means, and
-truth-dependent oracle thresholds for diagnostics.
+for diagnostics the double fit's risk given g and the threshold pair that
+minimises it (the oracle).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from .basis import FunctionSeries, Spectrum, fourier_matrices
+from .basis import Spectrum, fourier_matrices
 from .simulate import CoefficientPanel, MultiSubjectTable, SubjectStats
 
 __all__ = [
@@ -26,7 +27,8 @@ __all__ = [
     "single_subject_estimate",
     "posterior_mean_g",
     "posterior_mean_f",
-    "oracle_thresholds",
+    "double_fit_risk",
+    "oracle_pair",
 ]
 
 # the Lepskii rules' default comparison constants, each spelled only here: the
@@ -217,56 +219,43 @@ def posterior_mean_f(stats: SubjectStats, prior: Spectrum, deviation: Spectrum) 
     return (stats.own * n + stats.donor_mean * a) / (n + b / lamt)
 
 
-# terms summed per chunk of oracle_thresholds' top-down scan
-ORACLE_CHUNK = 2**15
+def _risk_terms(g, deviation: Spectrum, n: int, m: int):
+    """The double fit's risk given the (rows, K) stack g, split as own[k1] +
+    rest[:, k2] for k = 0..K: own[k] = k/n - A(k) and rest[:, k] = A(k) +
+    sum_{l>k} b_l, with A the cumsum of a_l = lambda~_l m/(m-1) + 1/(n(m-1)),
+    the cost of pooling coefficient l, and b_l = g_l^2 + lambda~_l, the cost
+    of dropping it.  The law is :func:`~twolevel.simulate.sample_stats`'s,
+    with g fixed and e0 truncated at K."""
+    if m < 2:  # the pooling cost divides by m - 1
+        raise ValueError(f"need at least 2 subjects, got m={m}")
+    K = np.shape(g)[-1]
+    lamt = deviation.eigenvalues(K)
+    pooled = np.concatenate([[0.0], np.cumsum(lamt * m / (m - 1) + 1.0 / (n * (m - 1)))])
+    dropped = np.cumsum((np.square(g) + lamt)[:, ::-1], axis=-1)[:, ::-1]
+    return np.arange(K + 1) / n - pooled, pooled + np.pad(dropped, ((0, 0), (0, 1)))
 
 
-def oracle_thresholds(g_truth: FunctionSeries, deviation_spectrum: Spectrum,
-                      n: int, m: int, search_max: int | None = None) -> tuple[int, int]:
-    """Truth-dependent oracle thresholds (k1*, k2*) for the double-thresholding
-    estimator.
+def double_fit_risk(g, deviation: Spectrum, n: int, m: int, k1, k2) -> np.ndarray:
+    """Risk of :func:`double_threshold_estimate_f` with the pair (k1, k2)
+    given g, one per row of the (rows, K) stack g: k1/n + sum_{k1<k<=k2} a_k
+    + sum_{k2<k<=K} b_k (see :func:`_risk_terms`).  k1 and k2 are ints or one
+    per row, with 0 <= k1 <= k2 <= K."""
+    own, rest = _risk_terms(g, deviation, n, m)
+    if np.less(k1, 0).any() or np.greater(k1, k2).any() or np.greater(k2, own.size - 1).any():
+        raise ValueError(f"need 0 <= k1 <= k2 <= {own.size - 1}, got ({k1}, {k2})")
+    return own[k1] + rest[np.arange(len(rest)), k2]
 
-    k2* is the smallest k with ``sum_{l>k} (g_l^2 + lambda~_l) <= k/(n m)``;
-    k1* is the smallest k <= k2* with that bias plus the variance proxy
-    ``k/n + sum_{k+1..k2*} (lambda~_l (1 + 1/m) + 1/(n m))`` at most ``2 k / n``.
-    Tail sums past the working range use the analytic integral bound.
 
-    The bias falls and k/(n m) grows with k, so the k that meet the first
-    bound form a suffix: k2* is one above the largest k that fails it.  The
-    bias is summed down from ``search_max`` in chunks of ``ORACLE_CHUNK``
-    terms, each cumsum carrying the sum above it: the terms are added in the
-    order of one full-length cumsum, and of the arrays only the k2* variance
-    terms grow with n m.
-    """
-    if search_max is None:
-        search_max = max(len(g_truth), n * m, 16)
-    tail_beyond = deviation_spectrum.tail_sum(search_max)
-    # bias_above: the bias at the k just above the chunk, k = search_max first
-    bias_above, carry, k2 = tail_beyond, 0.0, 1
-    if not bias_above <= search_max / (n * m):
-        raise ValueError("oracle search range too small; raise search_max")
-    for hi in range(search_max, 1, -ORACLE_CHUNK):
-        lo = max(hi - ORACLE_CHUNK, 1)
-        # terms l = lo+1..hi, reversed: the bias of k = hi-1 down to lo
-        terms = deviation_spectrum.eigenvalues(hi, lo)[::-1]
-        g_part = g_truth.coeffs[lo:hi][::-1]
-        terms[terms.size - g_part.size:] += g_part ** 2
-        terms[0] += carry
-        sums = np.cumsum(terms)
-        carry = sums[-1]
-        bias = sums + tail_beyond
-        failed = np.nonzero(~(bias <= np.arange(hi - 1, lo - 1, -1) / (n * m)))[0]
-        if failed.size:
-            k2 = hi - int(failed[0])
-            bias_above = bias[failed[0] - 1] if failed[0] else bias_above
-            break
-        bias_above = bias[-1]
-
-    var_terms = deviation_spectrum.eigenvalues(k2) * (1.0 + 1.0 / m) + 1.0 / (n * m)
-    # variance[k] = k/n + sum_{l=k+1..k2} var_terms[l]
-    var_tail = np.concatenate([np.cumsum(var_terms[::-1])[::-1], [0.0]])
-    ks = np.arange(1, k2 + 1)
-    total = bias_above + ks / n + var_tail[1:]
-    feasible1 = np.nonzero(total <= 2.0 * ks / n)[0]
-    k1 = int(feasible1[0]) + 1 if feasible1.size else k2
-    return k1, k2
+def oracle_pair(g, deviation: Spectrum, n: int, m: int):
+    """The oracle (k1*, k2*, risk): the pair 0 <= k1 <= k2 <= K of least
+    :func:`double_fit_risk` given g, and that risk, one of each per row of the
+    (rows, K) stack g.  For each k2 the best k1 is the first to reach the
+    running minimum of own[k] = k/n - A(k), so the search is O(K) per row;
+    ties go to the smallest k2, then to the smallest k1."""
+    own, rest = _risk_terms(g, deviation, n, m)
+    best_own = np.minimum.accumulate(own)
+    total = best_own + rest
+    k2 = total.argmin(axis=-1)
+    # best_own never rises, so the first k with best_own[k] <= best_own[k2]
+    k1 = np.searchsorted(-best_own, -best_own[k2])
+    return k1, k2, total.min(axis=-1)

@@ -2,8 +2,9 @@
 pointwise basis evaluation, grid quadrature and Parseval sums of the L2
 risk, RMSPE of one series on held-out points, the full m-subject panel
 sampler with its pooled and leave-one-out means, the finite Mercer
-covariance, the Monte Carlo engine one replicate at a time, and the
-double-threshold fit as one ``np.select``."""
+covariance, the Monte Carlo engine one replicate at a time, the
+double-threshold fit as one ``np.select``, and the oracle threshold pair as a
+search over every pair."""
 
 import math
 
@@ -169,33 +170,22 @@ def double_threshold_select(stats: SubjectStats, k1, k2) -> np.ndarray:
     return np.select(conditions, [stats.own, stats.donor_mean])
 
 
-def oracle_thresholds_full(g_truth: FunctionSeries, deviation_spectrum: Spectrum,
-                           n: int, m: int, search_max: int | None = None) -> tuple[int, int]:
-    """``estimators.oracle_thresholds`` on full arrays of length ``search_max``:
-    the bias at every k from one reversed cumsum, and k2* the first k that
-    meets its bound."""
-    if search_max is None:
-        search_max = max(len(g_truth), n * m, 16)
-    lamt = deviation_spectrum.eigenvalues(search_max)
-    g_sq = g_truth.padded(search_max) ** 2
-    tail_beyond = deviation_spectrum.tail_sum(search_max)
-    # bias[k] = sum_{l > k} (g_l^2 + lambda~_l), k = 0..search_max
-    combined = g_sq + lamt
-    bias = np.concatenate([np.cumsum(combined[::-1])[::-1], [0.0]]) + tail_beyond
-    k_grid = np.arange(search_max + 1)
-    feasible2 = np.nonzero(bias[1:] <= k_grid[1:] / (n * m))[0]
-    if feasible2.size == 0:
-        raise ValueError("oracle search range too small; raise search_max")
-    k2 = int(feasible2[0]) + 1
-
-    var_terms = lamt[:k2] * (1.0 + 1.0 / m) + 1.0 / (n * m)
-    # variance[k] = k/n + sum_{l=k+1..k2} var_terms[l]
-    var_tail = np.concatenate([np.cumsum(var_terms[::-1])[::-1], [0.0]])
-    ks = np.arange(1, k2 + 1)
-    total = bias[k2] + ks / n + var_tail[1:]
-    feasible1 = np.nonzero(total <= 2.0 * ks / n)[0]
-    k1 = int(feasible1[0]) + 1 if feasible1.size else k2
-    return k1, k2
+def oracle_pair_brute_force(g, deviation: Spectrum, n: int, m: int):
+    """The double fit's risk given each row of the (rows, K) stack g at every
+    pair 0 <= k1 <= k2 <= K, each summed term by term with ``math.fsum``, and
+    its minimum: one (k1, k2, risk) per row, O(K^2) pairs.  Ties go to the
+    smallest k2, then to the smallest k1."""
+    K = np.shape(g)[-1]
+    lamt = deviation.eigenvalues(K)
+    a = lamt * m / (m - 1) + 1.0 / (n * (m - 1))
+    best = []
+    for row in np.asarray(g):
+        b = row ** 2 + lamt
+        risks = {(k1, k2): math.fsum([k1 / n, *a[k1:k2], *b[k2:]])
+                 for k2 in range(K + 1) for k1 in range(k2 + 1)}
+        (k1, k2), risk = min(risks.items(), key=lambda item: item[1])
+        best.append((k1, k2, risk))
+    return best
 
 
 def product_lattice(budget: float, density: int | None = None) -> list[tuple[int, int]]:

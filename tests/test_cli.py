@@ -1,6 +1,7 @@
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -12,9 +13,8 @@ import twolevel
 from twolevel.basis import Spectrum
 from twolevel.cli import build_parser, cli_dispatch
 from twolevel.design import lattice
-from twolevel.estimators import lepskii_thresholds_f, oracle_thresholds
-from twolevel.simulate import (ModelConfig, replicate_normals, sample_population,
-                               sample_stats, substream)
+from twolevel.estimators import double_fit_risk, lepskii_thresholds_f, oracle_pair
+from twolevel.simulate import ModelConfig, replicate_normals, sample_stats, substream
 
 
 def run(capsys, *argv):
@@ -380,6 +380,19 @@ class TestStudies:
         assert err == f"config error: {flag} must be positive, got {float(value)}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "study1", "study2", "oracle-check"])
+    def test_negative_seed_names_its_flag(self, tmp_path, capsys, command):
+        sizes = {"simulate": ("--n", "10", "--m", "2"),
+                 "study1": ("--n", "30", "--m", "4", "--replicates", "3"),
+                 "study2": ("--budget", "120", "--density", "4", "--replicates", "3"),
+                 "oracle-check": ("--n", "30", "--m", "4")}[command]
+        out_flag = () if command == "oracle-check" else ("--out", str(tmp_path / "o"))
+        code, out, err = run(capsys, command, *sizes, "--alpha", "1.0", "--seed", "-2",
+                             *out_flag)
+        assert (code, out) == (2, "")
+        assert err.endswith("error: argument --seed: must be a non-negative integer, got -2\n")
+        assert not (tmp_path / "o").exists()
+
     def test_study1_default_k_max_covers_fixed_thresholds(self, tmp_path, capsys):
         # the README line: fixed_g_beta0.2 keeps ceil(10000^(1/1.4)) = 720
         # coefficients, more than 4 sqrt(n m) = 400
@@ -580,26 +593,38 @@ class TestDataCommands:
 
 class TestOracleCheck:
     def test_prints_all_four(self, capsys):
+        # the four thresholds, each pair followed by its risk given g
         code, out, _ = run(capsys, "oracle-check", "--n", "100", "--m", "10",
                            "--alpha", "1.0", "--seed", "4")
         assert code == 0
-        for token in ("k1*=", "k2*=", "k1=", "k2="):
-            assert token in out
+        number = r"[0-9.e+-]+"
+        assert re.fullmatch(rf"oracle k1\*=\d+ k2\*=\d+ risk={number} "
+                            rf"adaptive k1=\d+ k2=\d+ risk={number}\n", out)
 
     @pytest.mark.parametrize("n,m,alpha,seed", [(50, 20, 1.0, 1), (100, 10, 1.0, 0),
                                                 (30, 40, 0.5, 4), (7, 2, 1.5, 9)])
     def test_draws_through_the_lab_sampler(self, capsys, n, m, alpha, seed):
-        # the oracle reads g of replicate 0, which is sample_population on its
-        # substream; the adaptive thresholds read that replicate's statistics
+        # the oracle reads g of replicate 0 of the lab's sampler, and the
+        # adaptive thresholds that replicate's statistics
         cfg = ModelConfig(n, m, Spectrum(alpha), Spectrum(0.5))
-        g = sample_population(cfg, substream(seed, 0))
-        k1_star, k2_star = oracle_thresholds(g, Spectrum(0.5), n, m)
-        _, _, stats = sample_stats(cfg, replicate_normals(seed, 1, cfg.stats_width))
+        g, _, stats = sample_stats(cfg, replicate_normals(seed, 1, cfg.stats_width))
+        k1_star, k2_star, risk_star = oracle_pair(g, Spectrum(0.5), n, m)
         k1, k2 = lepskii_thresholds_f(stats)
+        risk = double_fit_risk(g, Spectrum(0.5), n, m, k1, k2)
         code, out, err = run(capsys, "oracle-check", "--n", str(n), "--m", str(m),
                              "--alpha", str(alpha), "--seed", str(seed))
         assert (code, err) == (0, "")
-        assert out == f"oracle k1*={k1_star} k2*={k2_star} adaptive k1={k1[0]} k2={k2[0]}\n"
+        assert out == (f"oracle k1*={k1_star[0]} k2*={k2_star[0]} risk={risk_star[0]:.6g} "
+                       f"adaptive k1={k1[0]} k2={k2[0]} risk={risk[0]:.6g}\n")
+
+    def test_low_deviation_smoothness_finds_a_pair_within_k_max(self, capsys):
+        # at alpha~ = 0.1 the deviations' energy past any k decays slowly; the
+        # pair is searched over the k_max columns of g, 20 at n = m = 5
+        code, out, err = run(capsys, "oracle-check", "--n", "5", "--m", "5",
+                             "--alpha", "1", "--alpha-tilde", "0.1")
+        assert (code, err) == (0, "")
+        k2_star = int(re.search(r"k2\*=(\d+)", out).group(1))
+        assert k2_star <= ModelConfig(5, 5, Spectrum(1.0), Spectrum(0.1)).k_max == 20
 
     @pytest.mark.parametrize("m", [0, 1])
     def test_fewer_than_two_subjects_fail_before_sampling(self, capsys, monkeypatch, m):

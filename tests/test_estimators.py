@@ -8,20 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from twolevel import estimators
-from twolevel.basis import FunctionSeries, Spectrum
-from twolevel.estimators import (double_threshold_estimate_f,
+from twolevel.basis import Spectrum
+from twolevel.estimators import (double_fit_risk, double_threshold_estimate_f,
                                  empirical_coefficients, leave_one_out_means,
                                  lepskii_min_k, lepskii_threshold_g,
-                                 lepskii_thresholds_f, oracle_thresholds,
+                                 lepskii_thresholds_f, oracle_pair,
                                  posterior_mean_f, posterior_mean_g,
                                  single_subject_estimate, single_subject_threshold,
                                  threshold_estimate_g)
 from twolevel.risk import single_subject_f
 from twolevel.simulate import (CoefficientPanel, ModelConfig, SubjectStats,
-                               sample_population, simulate_regression, substream)
+                               replicate_normals, sample_population, sample_stats,
+                               simulate_regression, substream)
 
-from reference import (double_threshold_select, oracle_thresholds_full, pooled_coefficients,
+from reference import (double_threshold_select, oracle_pair_brute_force, pooled_coefficients,
                        sample_panel, subject_stats)
 
 
@@ -368,72 +368,71 @@ class TestPosteriorMeans:
         assert np.all(np.diff(est[0]) < 0)  # heavier shrinkage at high k
 
 
-def brute_force_oracle(g, dev, n, m, search_max=4000):
-    lamt = [dev.eigenvalue(k) for k in range(1, search_max + 1)]
-    gsq = list(g.padded(search_max) ** 2)
-    far_tail = dev.tail_sum(search_max)
-
-    def bias(k):
-        return sum(gsq[k:]) + sum(lamt[k:]) + far_tail
-
-    k2 = next(k for k in range(1, search_max + 1) if bias(k) <= k / (n * m))
-    for k in range(1, k2 + 1):
-        var = k / n + sum(lamt[l] * (1 + 1 / m) + 1 / (n * m) for l in range(k, k2))
-        if bias(k2) + var <= 2 * k / n:
-            return k, k2
-    return k2, k2
+def random_g(rng, rows, K, alpha):
+    """A (rows, K) stack of g rows with coefficient k of scale k^(-1/2 - alpha)."""
+    return rng.standard_normal((rows, K)) * np.arange(1.0, K + 1) ** (-0.5 - alpha)
 
 
 class TestOracleThresholds:
-    @pytest.mark.parametrize("n,m", [(50, 4), (200, 20), (1000, 2)])
+    """The oracle pair (k1*, k2*) and the double fit's risk given g."""
+
+    @pytest.mark.parametrize("n,m", [(50, 4), (200, 20), (1000, 2), (1, 2), (1, 30)])
     def test_matches_brute_force(self, n, m):
         rng = substream(30, n, m)
-        dev = Spectrum(0.5)
-        cfg = ModelConfig(n, m, Spectrum(1.0), dev, k_max=40)
-        g = sample_population(cfg, rng)
-        assert oracle_thresholds(g, dev, n, m) == brute_force_oracle(g, dev, n, m)
+        for K in (1, 2, 7, 40):
+            g = random_g(rng, 3, K, rng.uniform(0.2, 2.0))
+            dev = Spectrum(rng.uniform(0.1, 2.0))
+            k1, k2, risk = oracle_pair(g, dev, n, m)
+            brute = oracle_pair_brute_force(g, dev, n, m)
+            # near-ties may pick another pair: the two sum in other orders
+            np.testing.assert_allclose(risk, [r for _, _, r in brute], rtol=1e-12)
+            np.testing.assert_array_equal(double_fit_risk(g, dev, n, m, k1, k2), risk)
 
     def test_ordering(self):
-        g = FunctionSeries(np.array([1.0, 0.5, 0.25]))
-        k1, k2 = oracle_thresholds(g, Spectrum(1.0), 400, 10)
-        assert 1 <= k1 <= k2
+        k1, k2, _ = oracle_pair(np.array([[1.0, 0.5, 0.25]]), Spectrum(1.0), 400, 10)
+        assert 0 <= k1[0] <= k2[0] <= 3
 
-    def test_more_subjects_never_shrink_k2(self):
-        g = FunctionSeries(1.0 / np.arange(1, 30.0))
-        _, k2_small = oracle_thresholds(g, Spectrum(0.5), 100, 2)
-        _, k2_big = oracle_thresholds(g, Spectrum(0.5), 100, 50)
-        assert k2_big >= k2_small
+    @pytest.mark.parametrize("n,m", [(30, 2), (100, 10), (1, 5)])
+    def test_never_worse_than_a_fixed_pair(self, n, m):
+        g = random_g(substream(31, n, m), 4, 25, 1.0)
+        dev = Spectrum(0.5)
+        _, _, best = oracle_pair(g, dev, n, m)
+        for k2 in range(26):
+            for k1 in range(k2 + 1):
+                assert np.all(best <= double_fit_risk(g, dev, n, m, k1, k2)), (k1, k2)
 
-    @pytest.mark.parametrize("chunk", [1, 7, 64, estimators.ORACLE_CHUNK])
-    def test_chunked_scan_matches_full_arrays(self, monkeypatch, chunk):
-        # the same (k1*, k2*), or the same error, as one full-length cumsum
-        monkeypatch.setattr(estimators, "ORACLE_CHUNK", chunk)
-        rng = np.random.default_rng(27)
-        for n, m, alpha, alpha_tilde, length in [
-                (50, 4, 1.0, 0.5, 40), (3, 2, 0.3, 0.2, 2000), (1, 1, 2.5, 1.5, 1),
-                (400, 20, 0.5, 1.5, 40), (7, 3, 1.0, 0.5, 500), (200, 2, 2.5, 0.2, 1)]:
-            g = FunctionSeries(rng.standard_normal(length)
-                               * np.arange(1.0, length + 1) ** (-0.5 - alpha))
-            dev = Spectrum(alpha_tilde)
-            for search_max in (None, 16, max(length, n * m) + 5):
-                try:
-                    want = oracle_thresholds_full(g, dev, n, m, search_max)
-                except ValueError as err:
-                    want = str(err)
-                try:
-                    got = oracle_thresholds(g, dev, n, m, search_max)
-                except ValueError as err:
-                    got = str(err)
-                assert got == want, (n, m, alpha, alpha_tilde, length, search_max)
+    def test_risk_rejects_one_subject_and_pairs_out_of_range(self):
+        g = np.ones((2, 5))
+        with pytest.raises(ValueError, match="need at least 2 subjects"):
+            double_fit_risk(g, Spectrum(1.0), 10, 1, 1, 2)
+        with pytest.raises(ValueError, match="need at least 2 subjects"):
+            oracle_pair(g, Spectrum(1.0), 10, 1)
+        for k1, k2 in [(-1, 2), (3, 2), (0, 6), ([1, 4], [2, 3])]:
+            with pytest.raises(ValueError, match=r"need 0 <= k1 <= k2 <= 5"):
+                double_fit_risk(g, Spectrum(1.0), 10, 3, k1, k2)
+
+    @pytest.mark.parametrize("n,m,k1,k2", [(100, 10, 10, 30), (30, 2, 4, 20),
+                                           (1000, 3, 20, 25), (1, 2, 0, 3)])
+    def test_matches_monte_carlo_loss(self, n, m, k1, k2):
+        # g is held fixed by copying replicate 0's g slice into every row, so
+        # the mean loss estimates the risk given g
+        cfg = ModelConfig(n, m, Spectrum(1.0), Spectrum(0.5))
+        normals = replicate_normals(7, 1000, cfg.stats_width)
+        normals[:, :cfg.k_max] = normals[0, :cfg.k_max]
+        g, f0, stats = sample_stats(cfg, normals)
+        loss = ((double_threshold_estimate_f(stats, k1, k2) - f0) ** 2).sum(axis=-1)
+        want = double_fit_risk(g[:1], cfg.deviation_spectrum, n, m, k1, k2)[0]
+        z = (loss.mean() - want) / (loss.std(ddof=1) / math.sqrt(loss.size))
+        assert abs(z) <= 4, z
 
     def test_memory_bounded_in_n_m(self):
-        # full arrays of n m = 2e6 terms peaked at 93.5 MiB
-        g = FunctionSeries(1.0 / np.arange(1, 100.0) ** 1.5)
+        # the search runs over g's K columns, whatever n m is
+        g = (1.0 / np.arange(1, 100.0) ** 1.5)[None]
         tracemalloc.start()
         try:
-            got = oracle_thresholds(g, Spectrum(0.5), 2000, 1000)
+            _, k2, _ = oracle_pair(g, Spectrum(0.5), 2000, 1000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert got == oracle_thresholds_full(g, Spectrum(0.5), 2000, 1000)
-        assert peak < 93.5 * 2**20 / 10
+        assert k2[0] <= 99
+        assert peak < 64 * 2**10
